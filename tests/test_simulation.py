@@ -1,5 +1,6 @@
 """Experiment harness: plans, engines, step accounting, and the cost model."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -233,6 +234,56 @@ class TestRecords:
     def test_steps_column_sums_to_the_total(self):
         report, records = run_simulation(small_config(), engine="fast")
         assert int(records.steps.sum()) == report.totals.total_steps
+
+
+class _HashSink:
+    """Write-only text sink that hashes what ``write_csv`` emits."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.h.update(text.encode())
+
+
+# sha256 of each strategy's records CSV, pinned on the original row-by-row
+# writer.  Full scale seed 0 matches the benchmark's golden digests; the
+# check-zone config crosses a 65,536-row chunk boundary and the 5->6 digit
+# op_id boundary, with flipped check bits at positions >= 64.
+GOLDEN_CSV = {
+    "full-scale-seed-0": (
+        SimulationConfig(seed=0),
+        {
+            "none": "de4b826213bc73524b50b7523069495f69fb6f0eb5640dc277e1e684bee6939b",
+            "enhanced": "876fdd8f5c6ede24e549b0b71250076a4ddf70f1ca919ff1b5cc32051f35b5af",
+            "full": "3ed42c410c58cba2d469e51c4ee76263784a77589d3d471526ac1cb41551035a",
+        },
+    ),
+    "dup-check-zone-w64": (
+        SimulationConfig(
+            n_ops=100_050,
+            codec="dup",
+            inject_check_zone=True,
+            word_width=64,
+            per_op_probability=0.05,
+        ),
+        {
+            "none": "0967fd56aa4b0c08bb1bb92ba43cf363e23339ffecae6c845df1060ec0643c48",
+            "enhanced": "3e136e8b72cf034f8584f3efe4bb96a295c74319435918c2d99f32dffd914a82",
+            "full": "a6e31306e79b91a0cd236c0454ba28abdba48a36673ecb1d4deceabb281994d0",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CSV))
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_csv_bytes_match_golden_digests(case, strategy):
+    cfg, digests = GOLDEN_CSV[case]
+    _, records = run_simulation(cfg.replaced(strategy=strategy), engine="fast")
+    sink = _HashSink()
+    records.write_csv(sink)
+    assert sink.h.hexdigest() == digests[strategy]
 
 
 class TestCostModel:
