@@ -15,7 +15,7 @@ from msms import (
     EXPECTED_ERROR_COUNT,
     Strategy,
     SimulationConfig,
-    run_simulation,
+    run_comparison,
 )
 
 
@@ -32,11 +32,9 @@ def main() -> None:
     detected_totals: dict[Strategy, int] = {s: 0 for s in Strategy}
     injected_total = 0
     for seed in range(args.runs):
-        for strategy in Strategy:
-            cfg = SimulationConfig(
-                n_ops=args.n, strategy=strategy, codec=args.codec, seed=seed
-            )
-            report, _ = run_simulation(cfg, engine="fast", keep_records=False)
+        cfg = SimulationConfig(n_ops=args.n, codec=args.codec, seed=seed)
+        runs = run_comparison(cfg, engine="fast", keep_records=False)
+        for strategy, (report, _) in runs.items():
             if strategy is Strategy.NONE:
                 counts.append(report.totals.errors_injected)
                 injected_total += report.totals.errors_injected

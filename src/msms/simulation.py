@@ -26,7 +26,7 @@ constant per word.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import IO, Optional, Union
 
@@ -39,6 +39,7 @@ from .store import Address, ProtectedStore, ReadPolicy, Strategy, Validity
 from .words import RandomSource, Word, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
+_CSV_CHUNK = 65536  # most rows RecordSet.write_csv assembles at once
 
 DEFAULT_PRIORITY_FRACTION = 0.15
 DEFAULT_WORD_WIDTH = 8
@@ -143,25 +144,59 @@ class RecordSet:
             yield self[i]
 
     def write_csv(self, fh: IO[str]) -> None:
-        """Emit one row per operation under the fixed header."""
+        """Emit one row per operation under the fixed header.
+
+        A row is its ``op_id`` followed by a suffix that is fixed by four
+        columns, ``(priority, error_bit, detected, steps)``, and a run
+        holds few distinct such tuples.  So each chunk of rows formats its
+        distinct suffixes once and assembles its rows as bytes with numpy:
+        each row gathers its suffix from a NUL-padded table, the op_id
+        digits are written in front, and the padding is dropped.  Chunks
+        also split at each power of ten, so all op_ids in a chunk have the
+        same number of digits.  Only ``fh.write`` is called on ``fh``.
+        """
         fh.write(CSV_HEADER + "\n")
-        strat = self.strategy.value
-        chunk = 65536
-        for start in range(0, len(self), chunk):
-            stop = min(start + chunk, len(self))
-            rows = zip(
-                self.priority[start:stop].tolist(),
-                self.error_bit[start:stop].tolist(),
-                self.detected[start:stop].tolist(),
-                self.steps[start:stop].tolist(),
-            )
-            lines = []
-            for i, (pri, bit, det, steps) in enumerate(rows, start=start):
-                lines.append(
-                    f"{i},{_csv_bool(pri)},{strat},{_csv_bool(bit >= 0)},"
-                    f"{bit if bit >= 0 else ''},{_csv_bool(det)},{steps}"
-                )
-            fh.write("\n".join(lines) + "\n")
+        n = len(self)
+        cuts = sorted({*range(0, n, _CSV_CHUNK), *(10**k for k in range(1, len(str(n)))), n})
+        for start, stop in zip(cuts, cuts[1:]):
+            # Pack (steps, error_bit + 1, detected, priority) into one
+            # int64 per row; _csv_suffix unpacks it.
+            key = self.steps[start:stop].astype(np.int64) << 16
+            key += self.error_bit[start:stop]
+            key += 1
+            key <<= 1
+            key += self.detected[start:stop]
+            key <<= 1
+            key += self.priority[start:stop]
+            # Distinct keys by sort; np.unique is over ten times slower here.
+            ordered = np.sort(key)
+            keys = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+
+            digits = len(str(start))
+            table = np.array([b"\0" * digits + _csv_suffix(self.strategy, int(k)) for k in keys])
+            table = table.view(np.uint8).reshape(len(keys), -1)
+            rows = np.take(table, np.searchsorted(keys, key), axis=0)
+            # Digits are built contiguously and copied in once; // by a
+            # scalar is much faster than % on numpy integer arrays.
+            ids = np.arange(start, stop, dtype=np.uint32 if stop <= 1 << 32 else np.uint64)
+            id_digits = np.empty((digits, stop - start), dtype=np.uint8)
+            for place in range(digits - 1, -1, -1):
+                quotient = ids // 10
+                id_digits[place] = ids - quotient * 10
+                ids = quotient
+            id_digits += ord("0")
+            rows[:, :digits] = id_digits.T
+            fh.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
+
+
+
+def _csv_suffix(strategy: Strategy, key: int) -> bytes:
+    """The row text after ``op_id`` for one of ``write_csv``'s packed keys."""
+    pri, det, bit, steps = key & 1, key >> 1 & 1, (key >> 2 & 0xFFFF) - 1, key >> 18
+    return (
+        f",{_csv_bool(pri)},{strategy.value},{_csv_bool(bit >= 0)},"
+        f"{bit if bit >= 0 else ''},{_csv_bool(det)},{steps}\n"
+    ).encode("ascii")
 
 
 def _csv_bool(x: bool) -> str:
@@ -207,6 +242,7 @@ class OperationPlan:
     priority: np.ndarray  # bool
     inject: np.ndarray  # bool
     bits: np.ndarray  # uint16 flip positions, one per injected op
+    bit_draws: np.ndarray  # float64 uniforms behind ``bits``, one per injected op
 
 
 def baseline_steps(word_width: int) -> int:
@@ -247,15 +283,28 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     else:
         priority = rng.random(n) < config.priority_fraction
     inject = rng.random(n) < config.per_op_probability
-    injected_idx = np.flatnonzero(inject)
-    domain = np.full(len(injected_idx), w, dtype=np.uint16)
+    bit_draws = rng.random(int(np.count_nonzero(inject)))
+    bits = _flip_positions(config, priority, inject, bit_draws)
+    return OperationPlan(words=words, priority=priority, inject=inject, bits=bits, bit_draws=bit_draws)
+
+
+def _flip_positions(
+    config: SimulationConfig, priority: np.ndarray, inject: np.ndarray, bit_draws: np.ndarray
+) -> np.ndarray:
+    """Flip position floor(u x domain) for each injected op's uniform draw u.
+
+    The domain is the word width; with ``inject_check_zone`` it also
+    covers the stored check of operations the strategy checks, which is
+    the only part of a plan that depends on the strategy.
+    """
+    w = config.word_width
+    domain = np.full(len(bit_draws), w, dtype=np.uint16)
     if config.inject_check_zone:
         # Faults may land in the stored check of a checked operation;
         # positions >= width address the check payload.
-        checked = _checked_mask(config.strategy, priority)[injected_idx]
+        checked = _checked_mask(config.strategy, priority)[np.flatnonzero(inject)]
         domain[checked] += get_codec(config.codec).check_bits(w)
-    bits = np.floor(rng.random(len(injected_idx)) * domain).astype(np.uint16)
-    return OperationPlan(words=words, priority=priority, inject=inject, bits=bits)
+    return np.floor(bit_draws * domain).astype(np.uint16)
 
 
 def run_simulation(
@@ -274,14 +323,24 @@ def run_simulation(
     list as ``capture_store`` appends the finished store after a
     store-engine run, for state dumps and audits.
     """
+    return _run_plan(config, draw_plan(config), engine, keep_records, capture_store)
+
+
+def _run_plan(
+    config: SimulationConfig,
+    plan: OperationPlan,
+    engine: str,
+    keep_records: bool,
+    capture_store: Optional[list] = None,
+):
     if engine == "auto":
         engine = "store" if config.n_ops <= AUTO_STORE_MAX_OPS else "fast"
     if engine == "fast":
         if capture_store is not None:
             raise ValueError("state capture requires the store engine")
-        return _run_fast(config, keep_records)
+        return _run_fast(config, plan, keep_records)
     if engine == "store":
-        return _run_store(config, keep_records, capture_store)
+        return _run_store(config, plan, keep_records, capture_store)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -317,8 +376,7 @@ def _verify_injected_op(
     return not codec.verify(word, check.flip_payload_bit(bit - width)).valid
 
 
-def _run_fast(config: SimulationConfig, keep_records: bool):
-    plan = draw_plan(config)
+def _run_fast(config: SimulationConfig, plan: OperationPlan, keep_records: bool):
     n, w = config.n_ops, config.word_width
     codec = get_codec(config.codec)
     b = baseline_steps(w)
@@ -353,10 +411,10 @@ def _run_fast(config: SimulationConfig, keep_records: bool):
 
 def _run_store(
     config: SimulationConfig,
+    plan: OperationPlan,
     keep_records: bool,
     capture_store: Optional[list] = None,
 ):
-    plan = draw_plan(config)
     n, w = config.n_ops, config.word_width
     store = ProtectedStore(
         codec=config.codec,
@@ -407,10 +465,18 @@ def run_comparison(
     engine: str = "auto",
     keep_records: bool = True,
 ) -> dict[Strategy, tuple[SimulationReport, Optional[RecordSet]]]:
-    """Run all three strategies on the same seed (identical op stream)."""
+    """Run all three strategies on the same seed (identical op stream).
+
+    The plan is drawn once; each strategy gets its own flip positions
+    from the shared uniform draws, so every result equals that of
+    ``run_simulation`` on the same config with the strategy replaced.
+    """
+    plan = draw_plan(config)
     out = {}
     for strategy in (Strategy.NONE, Strategy.ENHANCED, Strategy.FULL):
-        out[strategy] = run_simulation(config.replaced(strategy=strategy), engine, keep_records)
+        cfg = config.replaced(strategy=strategy)
+        bits = _flip_positions(cfg, plan.priority, plan.inject, plan.bit_draws)
+        out[strategy] = _run_plan(cfg, replace(plan, bits=bits), engine, keep_records)
     return out
 
 

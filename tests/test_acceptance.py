@@ -38,6 +38,7 @@ from msms import (
     get_codec,
     parity_encode,
     parity_verify,
+    run_comparison,
     run_simulation,
     single_flip_error_sets,
     theoretical_cost,
@@ -58,13 +59,13 @@ def full_scale_sweep():
     """Totals for seeds 0..199 under each strategy at default scale.
 
     The per-seed operation stream is identical across strategies, so
-    injected counts can be read from any one of them.
+    each seed's plan is drawn once and injected counts can be read from
+    any one of them.
     """
     sweep = {strategy: [] for strategy in Strategy}
     for seed in range(FULL_SCALE_SEEDS):
-        for strategy in Strategy:
-            cfg = SimulationConfig(seed=seed, strategy=strategy)
-            report, _ = run_simulation(cfg, engine="fast", keep_records=False)
+        runs = run_comparison(SimulationConfig(seed=seed), engine="fast", keep_records=False)
+        for strategy, (report, _) in runs.items():
             sweep[strategy].append(report.totals)
     return sweep
 

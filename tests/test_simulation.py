@@ -163,6 +163,20 @@ class TestEngines:
         with pytest.raises(ValueError):
             run_simulation(small_config(), engine="fast", capture_store=[])
 
+    @pytest.mark.parametrize("engine", ["fast", "store"])
+    @pytest.mark.parametrize("inject_check_zone", [False, True])
+    def test_comparison_equals_independent_runs(self, engine, inject_check_zone):
+        cfg = small_config(
+            codec="dup", word_width=13, per_op_probability=0.05, inject_check_zone=inject_check_zone
+        )
+        for strategy, (report, records) in run_comparison(cfg, engine=engine).items():
+            alone_report, alone_records = run_simulation(cfg.replaced(strategy=strategy), engine=engine)
+            assert report == alone_report
+            a, b = io.StringIO(), io.StringIO()
+            records.write_csv(a)
+            alone_records.write_csv(b)
+            assert a.getvalue() == b.getvalue()
+
 
 class TestTotals:
     def test_enhanced_equals_none_plus_priority_extra(self):
@@ -206,16 +220,35 @@ class TestRecords:
     def test_csv_header_is_pinned(self):
         assert CSV_HEADER == "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 
-    def test_csv_rows_match_the_records(self):
-        _, records = run_simulation(small_config(n_ops=200, per_op_probability=0.05), engine="fast")
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_config(n_ops=1, per_op_probability=0.05),
+            small_config(n_ops=10, per_op_probability=0.05),
+            small_config(n_ops=200, per_op_probability=0.05),
+            # Crosses a 65,536-row chunk and the 5->6 digit op_id boundary;
+            # check-zone flips land at bit positions >= 64.
+            small_config(
+                n_ops=100_050,
+                codec="dup",
+                inject_check_zone=True,
+                word_width=64,
+                per_op_probability=0.05,
+            ),
+        ],
+        ids=["n1", "n10", "n200", "n100050-dup-check-zone-w64"],
+    )
+    def test_csv_rows_match_the_records(self, cfg):
+        _, records = run_simulation(cfg, engine="fast")
         buf = io.StringIO()
         records.write_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == CSV_HEADER
-        assert len(lines) == 201
+        assert len(lines) == cfg.n_ops + 1
+        assert buf.getvalue().endswith("\n")
         for line, record in zip(lines[1:], records):
             op_id, pri, strat, injected, bit, detected, steps = line.split(",")
-            assert int(op_id) == record.op_id
+            assert op_id == str(record.op_id)
             assert pri == ("true" if record.priority else "false")
             assert strat == "enhanced"
             assert injected == ("true" if record.error_injected else "false")
