@@ -53,7 +53,7 @@ def main() -> None:
 
     b = baseline_steps(args.width)
     print(f"\nper-op steps: baseline B={b}, fully checked 2B+2={2 * b + 2}")
-    model = theoretical_cost(args.p_priority, get_codec("dup").cost(args.width))
+    model = theoretical_cost(args.p_priority, get_codec("dup").cost())
     print("closed-form rows (normalized, duplication-style technique):")
     for row in model.rows():
         print(f"  {row.system:<9} time={row.time_units}  space={row.space_units}")

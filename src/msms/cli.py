@@ -243,6 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 state_path = out_path / f"state_{strategy.value}.json"
                 _write_json(state_path, sink[0].dump_state())
                 outputs.append(state_path)
+        # Free these records before the next strategy's run builds its own.
+        del records
 
     print(
         f"n={base_cfg.n_ops} width={base_cfg.word_width} "
@@ -296,11 +298,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_cost_model(args: argparse.Namespace) -> int:
     started = _now()
     try:
-        technique = CostDescriptor(
-            time_multiplier=args.time_mult,
-            space_multiplier=args.space_mult,
-            per_op_extra_steps=0,
-        )
+        technique = CostDescriptor(time_multiplier=args.time_mult, space_multiplier=args.space_mult)
         result = theoretical_cost(
             args.p_priority,
             technique,
@@ -442,19 +440,21 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise CliError(f"{path} is not valid JSON: {e}")
 
     if isinstance(data, list):
-        entries, algorithm = data, "sha256"
+        entries = data
     else:
         try:
             entries = data["zones"]["log"]
-            algorithm = data.get("metadata", {}).get("digest_algorithm", "sha256")
-        except (KeyError, TypeError):
+            digest = data.get("metadata", {}).get("digest_algorithm", "sha256")
+        except (KeyError, TypeError, AttributeError):
             raise CliError(f"{path} is not a recognizable state dump")
+        if digest != "sha256":
+            raise CliError(f"{path} names digest {digest!r}; audit chains are verified with sha256")
 
     if not entries:
         print("chain OK (genesis)")
         return EXIT_OK
     try:
-        ok, broken = verify_entry_dicts(entries, algorithm=algorithm)
+        ok, broken = verify_entry_dicts(entries)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path} holds malformed log entries: {e}")
     if ok:

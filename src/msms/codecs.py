@@ -12,7 +12,7 @@ Built-in codecs:
   one.
 * ``berger``  - stores the count of zero bits.  Catches every
   unidirectional error (any number of flips all in the same direction).
-* ``dup``     - k verbatim copies compared on read.  Stands in for
+* ``dup``     - two verbatim copies compared on read.  Stands in for
   heavyweight duplication-style detection; its cost descriptor carries
   the conventional 3x time / 4x space factors.
 * ``none``    - no check data, verification always passes.
@@ -54,7 +54,7 @@ class CodecCheck:
 
     ``payload`` is a bit tuple rendered most-significant-first; its
     length is codec-dependent (1 for parity, ceil(log2(width+1)) for
-    berger, k*width for k-fold duplication).
+    berger, 2*width for duplication).
     """
 
     codec_id: CodecId
@@ -88,31 +88,16 @@ class CostDescriptor:
     """Cost of running a technique, relative to an unprotected baseline.
 
     ``time_multiplier`` / ``space_multiplier`` scale the baseline cost
-    units; ``per_op_extra_steps`` is the absolute step surcharge a
-    checked operation pays in the step-count simulation; ``check_bits``
-    is the stored check size for one word.
+    units of the closed-form cost model.  Step counts live in the
+    simulation's step model, check sizes in :meth:`Codec.check_bits`.
     """
 
     time_multiplier: Rational
     space_multiplier: Rational
-    per_op_extra_steps: int
-    check_bits: int = 0
 
     def __post_init__(self) -> None:
         if self.time_multiplier < 1 or self.space_multiplier < 1:
             raise ValueError("cost multipliers must be >= 1")
-        if self.per_op_extra_steps < 0 or self.check_bits < 0:
-            raise ValueError("step and bit counts must be non-negative")
-
-
-def _traversal_steps(width: int) -> int:
-    # One pass over the word; odd widths round up.
-    return (width + 1) // 2
-
-
-def _flag_steps() -> int:
-    # One write plus one read of the priority bit.
-    return 2
 
 
 class Codec:
@@ -129,7 +114,7 @@ class Codec:
     def check_bits(self, width: int) -> int:
         raise NotImplementedError
 
-    def cost(self, width: int) -> CostDescriptor:
+    def cost(self) -> CostDescriptor:
         raise NotImplementedError
 
     def _require_own(self, check: CodecCheck) -> None:
@@ -154,8 +139,8 @@ class ParityCodec(Codec):
     def check_bits(self, width: int) -> int:
         return 1
 
-    def cost(self, width: int) -> CostDescriptor:
-        return CostDescriptor(1, 1, _traversal_steps(width) + _flag_steps(), check_bits=1)
+    def cost(self) -> CostDescriptor:
+        return CostDescriptor(1, 1)
 
 
 class BergerCodec(Codec):
@@ -181,14 +166,12 @@ class BergerCodec(Codec):
     def check_bits(self, width: int) -> int:
         return max(1, math.ceil(math.log2(width + 1)))
 
-    def cost(self, width: int) -> CostDescriptor:
-        return CostDescriptor(
-            1, 1, _traversal_steps(width) + _flag_steps(), check_bits=self.check_bits(width)
-        )
+    def cost(self) -> CostDescriptor:
+        return CostDescriptor(1, 1)
 
 
 class DuplicationCodec(Codec):
-    """k verbatim copies of the word, compared bit-for-bit on read.
+    """Two verbatim copies of the word, compared bit-for-bit on read.
 
     A word-granularity stand-in for duplication-style detection; the
     cost descriptor carries the conventional threefold-time /
@@ -198,33 +181,21 @@ class DuplicationCodec(Codec):
 
     codec_id = CodecId.DUPLICATION
 
-    def __init__(self, copies: int = 2):
-        if copies < 1:
-            raise ValueError(f"replication factor must be >= 1, got {copies}")
-        self.copies = copies
-
     def encode(self, word: Word) -> CodecCheck:
-        return CodecCheck(self.codec_id, word.bits[::-1] * self.copies)
+        return CodecCheck(self.codec_id, word.bits[::-1] * 2)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         self._require_own(check)
         if len(check.payload) % word.width:
             raise ValueError("duplication payload length is not a multiple of the word width")
-        one = word.bits[::-1]
-        k = len(check.payload) // word.width
-        copies = [check.payload[i * word.width : (i + 1) * word.width] for i in range(k)]
-        return VerifyResult(all(c == one for c in copies), self.codec_id)
+        copies = len(check.payload) // word.width
+        return VerifyResult(check.payload == word.bits[::-1] * copies, self.codec_id)
 
     def check_bits(self, width: int) -> int:
-        return self.copies * width
+        return 2 * width
 
-    def cost(self, width: int) -> CostDescriptor:
-        return CostDescriptor(
-            3,
-            4,
-            self.copies * _traversal_steps(width) + _flag_steps(),
-            check_bits=self.check_bits(width),
-        )
+    def cost(self) -> CostDescriptor:
+        return CostDescriptor(3, 4)
 
 
 class NullCodec(Codec):
@@ -242,8 +213,8 @@ class NullCodec(Codec):
     def check_bits(self, width: int) -> int:
         return 0
 
-    def cost(self, width: int) -> CostDescriptor:
-        return CostDescriptor(1, 1, 0, check_bits=0)
+    def cost(self) -> CostDescriptor:
+        return CostDescriptor(1, 1)
 
 
 _REGISTRY: dict[str, Codec] = {}
@@ -270,32 +241,8 @@ def codec_names() -> tuple[str, ...]:
 
 register_codec("parity", ParityCodec())
 register_codec("berger", BergerCodec())
-register_codec("dup", DuplicationCodec(copies=2))
+register_codec("dup", DuplicationCodec())
 register_codec("none", NullCodec())
-
-
-def parity_encode(word: Word) -> CodecCheck:
-    return get_codec("parity").encode(word)
-
-
-def parity_verify(word: Word, check: CodecCheck) -> VerifyResult:
-    return get_codec("parity").verify(word, check)
-
-
-def berger_encode(word: Word) -> CodecCheck:
-    return get_codec("berger").encode(word)
-
-
-def berger_verify(word: Word, check: CodecCheck) -> VerifyResult:
-    return get_codec("berger").verify(word, check)
-
-
-def duplication_encode(word: Word, copies: int = 2) -> CodecCheck:
-    return DuplicationCodec(copies).encode(word)
-
-
-def duplication_verify(word: Word, check: CodecCheck) -> VerifyResult:
-    return DuplicationCodec().verify(word, check)
 
 
 def single_flip_error_sets(word: Word) -> tuple[frozenset[Word], frozenset[Word]]:
@@ -308,8 +255,3 @@ def single_flip_error_sets(word: Word) -> tuple[frozenset[Word], frozenset[Word]
     zero_errors = frozenset(flip_bit(word, i) for i in range(word.width) if word.bit(i) == 1)
     one_errors = frozenset(flip_bit(word, i) for i in range(word.width) if word.bit(i) == 0)
     return zero_errors, one_errors
-
-
-def codec_cost(codec: Union[str, CodecId, Codec], width: int) -> CostDescriptor:
-    """Cost descriptor for a codec at a given word width."""
-    return get_codec(codec).cost(width)

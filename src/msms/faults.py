@@ -27,14 +27,11 @@ from .words import RandomSource, Word
 # probability is chosen so 4,729,000 operations inject 7.5 errors in
 # expectation.  Per-run counts are Binomial, so a run lands in the
 # band 7.5 +/- 1.5, i.e. [6, 9], with probability 0.535, not always;
-# acceptance criterion 2b measures that rate across seeds.  An
-# alternative flat per-op factor of 1.6e-5 is selectable via
-# configuration.
+# acceptance criterion 2b measures that rate across seeds.
 DEFAULT_N_OPS = 4_729_000
 EXPECTED_ERROR_COUNT = 7.5
 ERROR_COUNT_TOLERANCE = 1.5
 DEFAULT_ERROR_PROBABILITY = EXPECTED_ERROR_COUNT / DEFAULT_N_OPS
-ALTERNATE_ERROR_FACTOR = 1.6e-5
 
 
 @dataclass

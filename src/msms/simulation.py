@@ -26,7 +26,7 @@ constant per word.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import IO, Optional, Union
 
@@ -236,13 +236,16 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class OperationPlan:
-    """Pre-drawn randomness for one run, in fixed protocol order."""
+    """Pre-drawn randomness for one run, in fixed protocol order.
+
+    Nothing in a plan depends on the strategy, so one plan serves all
+    three; each run turns ``bit_draws`` into flip positions itself.
+    """
 
     words: np.ndarray  # uint64 word values, one per op
     priority: np.ndarray  # bool
     inject: np.ndarray  # bool
-    bits: np.ndarray  # uint16 flip positions, one per injected op
-    bit_draws: np.ndarray  # float64 uniforms behind ``bits``, one per injected op
+    bit_draws: np.ndarray  # float64 uniforms behind the flip positions, one per injected op
 
 
 def baseline_steps(word_width: int) -> int:
@@ -284,8 +287,7 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
         priority = rng.random(n) < config.priority_fraction
     inject = rng.random(n) < config.per_op_probability
     bit_draws = rng.random(int(np.count_nonzero(inject)))
-    bits = _flip_positions(config, priority, inject, bit_draws)
-    return OperationPlan(words=words, priority=priority, inject=inject, bits=bits, bit_draws=bit_draws)
+    return OperationPlan(words=words, priority=priority, inject=inject, bit_draws=bit_draws)
 
 
 def _flip_positions(
@@ -294,8 +296,8 @@ def _flip_positions(
     """Flip position floor(u x domain) for each injected op's uniform draw u.
 
     The domain is the word width; with ``inject_check_zone`` it also
-    covers the stored check of operations the strategy checks, which is
-    the only part of a plan that depends on the strategy.
+    covers the stored check of operations the strategy checks, so the
+    positions depend on the strategy while the plan does not.
     """
     w = config.word_width
     domain = np.full(len(bit_draws), w, dtype=np.uint16)
@@ -335,12 +337,13 @@ def _run_plan(
 ):
     if engine == "auto":
         engine = "store" if config.n_ops <= AUTO_STORE_MAX_OPS else "fast"
+    bits = _flip_positions(config, plan.priority, plan.inject, plan.bit_draws)
     if engine == "fast":
         if capture_store is not None:
             raise ValueError("state capture requires the store engine")
-        return _run_fast(config, plan, keep_records)
+        return _run_fast(config, plan, bits, keep_records)
     if engine == "store":
-        return _run_store(config, plan, keep_records, capture_store)
+        return _run_store(config, plan, bits, keep_records, capture_store)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -376,7 +379,7 @@ def _verify_injected_op(
     return not codec.verify(word, check.flip_payload_bit(bit - width)).valid
 
 
-def _run_fast(config: SimulationConfig, plan: OperationPlan, keep_records: bool):
+def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, keep_records: bool):
     n, w = config.n_ops, config.word_width
     codec = get_codec(config.codec)
     b = baseline_steps(w)
@@ -389,7 +392,7 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, keep_records: bool)
     detected_bits = []
     for k, i in enumerate(injected_idx):
         word = Word(int(plan.words[i]), w)
-        hit = _verify_injected_op(codec, word, int(plan.bits[k]), bool(checked[i]), w)
+        hit = _verify_injected_op(codec, word, int(bits[k]), bool(checked[i]), w)
         detected_bits.append(hit)
     detected_count = sum(detected_bits)
 
@@ -398,7 +401,7 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, keep_records: bool)
         steps = np.full(n, b, dtype=np.int32)
         steps[checked] += b + 2
         error_bit = np.full(n, -1, dtype=np.int16)
-        error_bit[injected_idx] = plan.bits.astype(np.int16)
+        error_bit[injected_idx] = bits.astype(np.int16)
         detected = np.zeros(n, dtype=bool)
         detected[injected_idx] = detected_bits
         records = RecordSet(config.strategy, plan.priority, error_bit, detected, steps)
@@ -412,6 +415,7 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, keep_records: bool)
 def _run_store(
     config: SimulationConfig,
     plan: OperationPlan,
+    bits: np.ndarray,
     keep_records: bool,
     capture_store: Optional[list] = None,
 ):
@@ -435,7 +439,7 @@ def _run_store(
         is_priority = bool(priority[i])
         store.store_write(addr, word, priority=is_priority)
         if plan.inject[i]:
-            bit = int(plan.bits[bit_cursor])
+            bit = int(bits[bit_cursor])
             bit_cursor += 1
             error_bit[i] = bit
             if bit < w:
@@ -467,17 +471,14 @@ def run_comparison(
 ) -> dict[Strategy, tuple[SimulationReport, Optional[RecordSet]]]:
     """Run all three strategies on the same seed (identical op stream).
 
-    The plan is drawn once; each strategy gets its own flip positions
-    from the shared uniform draws, so every result equals that of
+    The plan is drawn once and shared, so every result equals that of
     ``run_simulation`` on the same config with the strategy replaced.
     """
     plan = draw_plan(config)
-    out = {}
-    for strategy in (Strategy.NONE, Strategy.ENHANCED, Strategy.FULL):
-        cfg = config.replaced(strategy=strategy)
-        bits = _flip_positions(cfg, plan.priority, plan.inject, plan.bit_draws)
-        out[strategy] = _run_plan(cfg, replace(plan, bits=bits), engine, keep_records)
-    return out
+    return {
+        strategy: _run_plan(config.replaced(strategy=strategy), plan, engine, keep_records)
+        for strategy in (Strategy.NONE, Strategy.ENHANCED, Strategy.FULL)
+    }
 
 
 # -- theoretical cost model --------------------------------------------------

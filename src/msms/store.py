@@ -42,6 +42,9 @@ from .words import Word
 
 DEFAULT_WORDS_PER_PAGE = 512
 
+# Predecessor digest of the first audit entry: an all-zero sha256.
+GENESIS = "0" * 64
+
 
 class Strategy(str, Enum):
     NONE = "none"
@@ -171,7 +174,6 @@ def _entry_digest(
     address: Optional[str],
     detail: dict[str, Any],
     digest_prev: str,
-    algorithm: str,
 ) -> str:
     payload = json.dumps(
         {
@@ -184,7 +186,7 @@ def _entry_digest(
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.new(algorithm, payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class AuditLog:
@@ -192,20 +194,11 @@ class AuditLog:
 
     Entry ``i`` commits to entry ``i-1`` through ``digest_prev``;
     altering any committed field breaks verification at that entry.  The
-    genesis predecessor is the all-zero digest.
+    digest is sha256 and the first entry's predecessor is :data:`GENESIS`.
     """
 
-    def __init__(self, algorithm: str = "sha256"):
-        probe = hashlib.new(algorithm)
-        if probe.digest_size * 8 < 128:
-            raise ValueError(f"digest {algorithm!r} is shorter than 128 bits")
-        self.algorithm = algorithm
-        self._genesis = "0" * (probe.digest_size * 2)
+    def __init__(self):
         self._entries: list[AuditEntry] = []
-
-    @property
-    def genesis(self) -> str:
-        return self._genesis
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -221,8 +214,8 @@ class AuditLog:
     ) -> AuditEntry:
         detail = detail or {}
         sequence = len(self._entries)
-        prev = self._entries[-1].digest_self if self._entries else self._genesis
-        digest = _entry_digest(sequence, event.value, _addr_str(address), detail, prev, self.algorithm)
+        prev = self._entries[-1].digest_self if self._entries else GENESIS
+        digest = _entry_digest(sequence, event.value, _addr_str(address), detail, prev)
         entry = AuditEntry(
             sequence=sequence,
             event=event,
@@ -236,24 +229,18 @@ class AuditLog:
 
     def verify(self) -> tuple[bool, Optional[int]]:
         """(True, None) for an intact chain, else (False, first broken sequence)."""
-        return verify_entry_dicts((e.to_dict() for e in self._entries), self.algorithm, self._genesis)
+        return verify_entry_dicts(e.to_dict() for e in self._entries)
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [e.to_dict() for e in self._entries]
 
 
-def verify_entry_dicts(
-    entries: Iterable[dict[str, Any]],
-    algorithm: str = "sha256",
-    genesis: Optional[str] = None,
-) -> tuple[bool, Optional[int]]:
+def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
     """Verify a dumped audit chain without reconstructing the store."""
-    if genesis is None:
-        genesis = "0" * (hashlib.new(algorithm).digest_size * 2)
-    prev = genesis
+    prev = GENESIS
     for position, e in enumerate(entries):
         recomputed = _entry_digest(
-            e["sequence"], e["event"], e["address"], dict(e["detail"]), e["digest_prev"], algorithm
+            e["sequence"], e["event"], e["address"], dict(e["detail"]), e["digest_prev"]
         )
         if e["digest_prev"] != prev or recomputed != e["digest_self"] or e["sequence"] != position:
             return False, position
@@ -270,7 +257,6 @@ class MergeReport:
     """Outcome of one deduplication scan."""
 
     pairs_merged: int
-    pages_freed: int
     merges: tuple[tuple[int, int], ...] = ()  # (survivor, freed) physical ids
 
 
@@ -294,7 +280,6 @@ class ProtectedStore:
         word_width: int = 8,
         words_per_page: int = DEFAULT_WORDS_PER_PAGE,
         allow_check_zone_faults: bool = False,
-        digest_algorithm: str = "sha256",
     ):
         if words_per_page < 1:
             raise ValueError("words_per_page must be positive")
@@ -309,7 +294,7 @@ class ProtectedStore:
         self._table = PageTable()
         self._checks: dict[Address, CodecCheck] = {}
         self._flags: dict[Address, int] = {}
-        self._log = AuditLog(digest_algorithm)
+        self._log = AuditLog()
         self._written: set[Address] = set()
         self._next_physical = 0
 
@@ -411,7 +396,7 @@ class ProtectedStore:
                 )
             for vp in self._table.virtual_pages_of(survivor.id):
                 self._table.cow_flags[vp] = True
-        return MergeReport(len(merges), len(merges), tuple(merges))
+        return MergeReport(len(merges), tuple(merges))
 
     def verify_audit_chain(self) -> tuple[bool, Optional[int]]:
         return self._log.verify()
@@ -502,7 +487,7 @@ class ProtectedStore:
                 "codec": self.codec.codec_id.value,
                 "strategy": self.strategy.value,
                 "read_policy": self.read_policy.value,
-                "digest_algorithm": self._log.algorithm,
+                "digest_algorithm": "sha256",
             },
             "zones": {
                 "data": {

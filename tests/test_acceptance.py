@@ -30,14 +30,10 @@ from msms import (
     Strategy,
     Word,
     baseline_steps,
-    berger_encode,
-    berger_verify,
     complexity_audit,
     flip_bit,
     flip_feng_shui_scenario,
     get_codec,
-    parity_encode,
-    parity_verify,
     run_comparison,
     run_simulation,
     single_flip_error_sets,
@@ -71,7 +67,7 @@ def full_scale_sweep():
 
 
 def test_criterion_01_published_cost_table_exact():
-    result = theoretical_cost(0.15, get_codec("dup").cost(8), base=(100, 100))
+    result = theoretical_cost(0.15, get_codec("dup").cost(), base=(100, 100))
     rows = [(int(r.time_units), int(r.space_units)) for r in result.rows()]
     expected = [(100, 100), (300, 400), (145, 160)]
     exact = [
@@ -274,17 +270,18 @@ def test_criterion_04_step_accounting_identity(full_scale_sweep):
 
 
 def test_criterion_05_parity_exhaustive():
+    parity = get_codec("parity")
     singles_detected = True
     doubles_pass = True
     for width in range(1, 13):
         for value in range(1 << width):
             word = Word(value, width)
-            check = parity_encode(word)
+            check = parity.encode(word)
             for pos in range(width):
-                if parity_verify(flip_bit(word, pos), check).valid:
+                if parity.verify(flip_bit(word, pos), check).valid:
                     singles_detected = False
             for a, b in itertools.combinations(range(width), 2):
-                if not parity_verify(flip_bit(flip_bit(word, a), b), check).valid:
+                if not parity.verify(flip_bit(flip_bit(word, a), b), check).valid:
                     doubles_pass = False
     _verdict(
         "criterion 5 (parity exhaustive, widths <= 12)",
@@ -299,18 +296,19 @@ def test_criterion_06_berger_exhaustive():
         Word.from_string(s) for s in ("00110", "10010", "10100")
     ) and one_errors == frozenset(Word.from_string(s) for s in ("11110", "10111"))
 
+    berger = get_codec("berger")
     unidirectional_detected = True
     for width in range(1, 11):
         for value in range(1 << width):
             word = Word(value, width)
-            check = berger_encode(word)
+            check = berger.encode(word)
             ones = [i for i in range(width) if word.bit(i)]
             for r in range(1, len(ones) + 1):
                 for subset in itertools.combinations(ones, r):
                     damaged = word
                     for pos in subset:
                         damaged = flip_bit(damaged, pos)
-                    if berger_verify(damaged, check).valid:
+                    if berger.verify(damaged, check).valid:
                         unidirectional_detected = False
     _verdict(
         "criterion 6 (berger example + unidirectional exhaustive, widths <= 10)",

@@ -269,6 +269,22 @@ class TestAudit:
         assert code == EXIT_ERROR
         assert out.strip() == "chain BROKEN at sequence 7"
 
+    def test_dump_naming_another_digest_is_rejected(self, state_file, capsys):
+        data = json.loads(state_file.read_text())
+        data["metadata"]["digest_algorithm"] = "sha512"
+        state_file.write_text(json.dumps(data))
+        code, out, err = run(["audit", str(state_file)], capsys)
+        assert code == EXIT_ERROR
+        assert "'sha512'" in err
+        assert "BROKEN" not in out
+
+    def test_dump_with_unreadable_metadata_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "null_metadata.json"
+        path.write_text(json.dumps({"metadata": None, "zones": {"log": []}}))
+        code, _, err = run(["audit", str(path)], capsys)
+        assert code == EXIT_ERROR
+        assert "not a recognizable state dump" in err
+
     def test_empty_chain_is_genesis(self, tmp_path, capsys):
         path = tmp_path / "genesis.json"
         path.write_text(json.dumps({"metadata": {}, "zones": {"log": []}}))

@@ -11,18 +11,13 @@ from msms import (
     CodecId,
     CodecMismatchError,
     Word,
-    berger_encode,
-    berger_verify,
-    codec_cost,
     codec_names,
-    duplication_encode,
-    duplication_verify,
     flip_bit,
     get_codec,
-    parity_encode,
-    parity_verify,
     single_flip_error_sets,
 )
+
+parity, berger, dup = get_codec("parity"), get_codec("berger"), get_codec("dup")
 
 
 def all_words(width: int):
@@ -37,45 +32,44 @@ def words(max_width: int = 12):
 
 class TestParity:
     def test_check_is_the_ones_count_parity(self):
-        assert parity_encode(Word.from_string("10110")).payload == (1,)
-        assert parity_encode(Word.from_string("1111")).payload == (0,)
-        assert parity_encode(Word.zero(8)).payload == (0,)
+        assert parity.encode(Word.from_string("10110")).payload == (1,)
+        assert parity.encode(Word.from_string("1111")).payload == (0,)
+        assert parity.encode(Word.zero(8)).payload == (0,)
 
     def test_verify_accepts_the_original(self):
         w = Word.from_string("10110")
-        assert parity_verify(w, parity_encode(w)).valid
+        assert parity.verify(w, parity.encode(w)).valid
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_every_single_flip_detected_exhaustively(self, width):
         for w in all_words(width):
-            check = parity_encode(w)
+            check = parity.encode(w)
             for pos in range(width):
-                assert not parity_verify(flip_bit(w, pos), check).valid
+                assert not parity.verify(flip_bit(w, pos), check).valid
 
     @pytest.mark.parametrize("width", range(2, 10))
     def test_every_double_flip_passes_exhaustively(self, width):
         # Two flips cancel in the parity sum: the codec's blind spot.
         for w in all_words(width):
-            check = parity_encode(w)
+            check = parity.encode(w)
             for a, b in itertools.combinations(range(width), 2):
-                assert parity_verify(flip_bit(flip_bit(w, a), b), check).valid
+                assert parity.verify(flip_bit(flip_bit(w, a), b), check).valid
 
     def test_flipped_check_bit_detected(self):
         w = Word.from_string("10110")
-        assert not parity_verify(w, parity_encode(w).flip_payload_bit(0)).valid
+        assert not parity.verify(w, parity.encode(w).flip_payload_bit(0)).valid
 
     def test_cost_is_one_extra_bit(self):
-        cost = codec_cost(get_codec("parity"), 8)
-        assert cost.check_bits == 1
-        assert cost.per_op_extra_steps == 6
+        cost = parity.cost()
+        assert parity.check_bits(8) == 1
         assert (cost.time_multiplier, cost.space_multiplier) == (1, 1)
 
 
 class TestBerger:
     def test_check_counts_zeros_msb_first(self):
-        assert berger_encode(Word.from_string("10110")).payload_str == "010"
-        assert berger_encode(Word.from_string("0000")).payload_str == "100"
-        assert berger_encode(Word.from_string("1111")).payload_str == "000"
+        assert berger.encode(Word.from_string("10110")).payload_str == "010"
+        assert berger.encode(Word.from_string("0000")).payload_str == "100"
+        assert berger.encode(Word.from_string("1111")).payload_str == "000"
 
     @pytest.mark.parametrize(
         "width,expected", [(1, 1), (3, 2), (7, 3), (8, 4), (15, 4), (16, 5)]
@@ -89,36 +83,36 @@ class TestBerger:
         # Dropping any non-empty subset of ones raises the zero count,
         # which the stored count cannot match.
         for w in all_words(width):
-            check = berger_encode(w)
+            check = berger.encode(w)
             ones = [i for i in range(width) if w.bit(i)]
             for r in range(1, len(ones) + 1):
                 for subset in itertools.combinations(ones, r):
                     damaged = w
                     for pos in subset:
                         damaged = flip_bit(damaged, pos)
-                    assert not berger_verify(damaged, check).valid
+                    assert not berger.verify(damaged, check).valid
 
     @pytest.mark.parametrize("width", range(1, 11))
     def test_all_unidirectional_zero_to_one_errors_detected(self, width):
         for w in all_words(width):
-            check = berger_encode(w)
+            check = berger.encode(w)
             zeros = [i for i in range(width) if not w.bit(i)]
             for r in range(1, len(zeros) + 1):
                 for subset in itertools.combinations(zeros, r):
                     damaged = w
                     for pos in subset:
                         damaged = flip_bit(damaged, pos)
-                    assert not berger_verify(damaged, check).valid
+                    assert not berger.verify(damaged, check).valid
 
     def test_balanced_bidirectional_error_passes(self):
         # One 1->0 plus one 0->1 keeps the zero count: out of scope by design.
         w = Word.from_string("10110")
         damaged = flip_bit(flip_bit(w, 0), 1)  # 10110 -> 10101
-        assert berger_verify(damaged, berger_encode(w)).valid
+        assert berger.verify(damaged, berger.encode(w)).valid
 
     @given(words())
     def test_verify_accepts_the_original(self, w):
-        assert berger_verify(w, berger_encode(w)).valid
+        assert berger.verify(w, berger.encode(w)).valid
 
 
 class TestSingleFlipErrorSets:
@@ -140,33 +134,33 @@ class TestSingleFlipErrorSets:
 
     @given(words(10))
     def test_berger_detects_every_single_flip(self, w):
-        check = berger_encode(w)
+        check = berger.encode(w)
         for damaged in set.union(*map(set, single_flip_error_sets(w))):
-            assert not berger_verify(damaged, check).valid
+            assert not berger.verify(damaged, check).valid
 
 
 class TestDuplication:
     def test_payload_holds_two_copies(self):
         w = Word.from_string("1011")
-        check = duplication_encode(w)
+        check = dup.encode(w)
         assert check.payload_str == "10111011"
 
     @given(words(10), st.data())
     def test_any_single_data_flip_detected(self, w, data):
         pos = data.draw(st.integers(0, w.width - 1))
-        assert not duplication_verify(flip_bit(w, pos), duplication_encode(w)).valid
+        assert not dup.verify(flip_bit(w, pos), dup.encode(w)).valid
 
     @given(words(8), st.data())
     def test_any_single_copy_flip_detected(self, w, data):
-        check = duplication_encode(w)
+        check = dup.encode(w)
         pos = data.draw(st.integers(0, len(check.payload) - 1))
-        assert not duplication_verify(w, check.flip_payload_bit(pos)).valid
+        assert not dup.verify(w, check.flip_payload_bit(pos)).valid
 
     def test_cost_carries_the_cited_multipliers(self):
-        cost = codec_cost(get_codec("dup"), 8)
+        cost = dup.cost()
         assert cost.time_multiplier == 3
         assert cost.space_multiplier == 4
-        assert cost.check_bits == 16
+        assert dup.check_bits(8) == 16
 
 
 class TestNullCodec:
@@ -176,9 +170,7 @@ class TestNullCodec:
         assert codec.verify(w, codec.encode(w)).valid
 
     def test_costs_nothing_extra(self):
-        cost = codec_cost(get_codec("none"), 8)
-        assert cost.check_bits == 0
-        assert cost.per_op_extra_steps == 0
+        assert get_codec("none").check_bits(8) == 0
 
 
 class TestRegistryAndChecks:
@@ -192,7 +184,7 @@ class TestRegistryAndChecks:
     def test_cross_codec_check_rejected(self):
         w = Word.from_string("10110")
         with pytest.raises(CodecMismatchError):
-            parity_verify(w, berger_encode(w))
+            parity.verify(w, berger.encode(w))
 
     def test_check_payload_flip_position_counts_from_lsb(self):
         check = CodecCheck(CodecId.BERGER, (0, 1, 0))

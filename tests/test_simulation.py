@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msms import (
     CSV_HEADER,
@@ -15,6 +15,7 @@ from msms import (
     SimulationConfig,
     Strategy,
     baseline_steps,
+    codec_names,
     complexity_audit,
     draw_plan,
     get_codec,
@@ -101,7 +102,7 @@ class TestPlan:
         assert np.array_equal(a.words, b.words)
         assert np.array_equal(a.priority, b.priority)
         assert np.array_equal(a.inject, b.inject)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.bit_draws, b.bit_draws)
 
     def test_different_seed_different_plan(self):
         a = draw_plan(small_config(seed=1))
@@ -113,9 +114,10 @@ class TestPlan:
         assert int(draw_plan(cfg).priority.sum()) == 150
 
     def test_bits_stay_in_the_data_domain_by_default(self):
-        plan = draw_plan(small_config(per_op_probability=0.2))
-        assert plan.bits.size > 0
-        assert plan.bits.max() < 8
+        _, records = run_simulation(small_config(per_op_probability=0.2), engine="fast")
+        bits = records.error_bit[records.error_bit >= 0]
+        assert bits.size > 0
+        assert bits.max() < 8
 
     def test_check_zone_extends_the_domain_for_checked_ops(self):
         cfg = small_config(
@@ -125,24 +127,38 @@ class TestPlan:
             codec="dup",
             inject_check_zone=True,
         )
-        plan = draw_plan(cfg)
+        _, records = run_simulation(cfg, engine="fast")
         # duplication stores 16 check bits at width 8: domain is 24
-        assert plan.bits.max() >= 8
-        assert plan.bits.max() < 24
+        assert records.error_bit.max() >= 8
+        assert records.error_bit.max() < 24
 
 
 class TestEngines:
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("inject_check_zone", [False, True])
-    def test_fast_and_store_engines_agree_bit_for_bit(self, strategy, inject_check_zone):
-        cfg = small_config(strategy=strategy, inject_check_zone=inject_check_zone)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        codec=st.sampled_from(codec_names()),
+        word_width=st.integers(1, 64),
+        priority_mode=st.sampled_from(["bernoulli", "quota"]),
+        per_op_probability=st.sampled_from([0.0, 0.05, 1.0]),
+        n_ops=st.integers(1, 1100),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(
+        codec="parity", word_width=8, priority_mode="bernoulli", per_op_probability=0.005, n_ops=2000, seed=13
+    )
+    def test_fast_and_store_engines_agree_bit_for_bit(self, strategy, inject_check_zone, **sweep):
+        cfg = SimulationConfig(strategy=strategy, inject_check_zone=inject_check_zone, **sweep)
         fast_report, fast_records = run_simulation(cfg, engine="fast")
         store_report, store_records = run_simulation(cfg, engine="store")
         assert fast_report.totals == store_report.totals
         a, b = io.StringIO(), io.StringIO()
         fast_records.write_csv(a)
         store_records.write_csv(b)
-        assert a.getvalue() == b.getvalue()
+        # Rows, not one string: pytest's diff of two long strings takes
+        # minutes, and a failing sweep would pay it for every shrink step.
+        assert a.getvalue().split("\n") == b.getvalue().split("\n")
 
     def test_auto_uses_the_store_for_small_runs(self):
         report, _ = run_simulation(small_config(), engine="auto")
@@ -321,7 +337,7 @@ def test_csv_bytes_match_golden_digests(case, strategy):
 
 class TestCostModel:
     def test_default_rows_are_exact(self):
-        result = theoretical_cost(0.15, get_codec("dup").cost(8))
+        result = theoretical_cost(0.15, get_codec("dup").cost())
         assert [(r.time_units, r.space_units) for r in result.rows()] == [
             (100, 100),
             (300, 400),
@@ -329,28 +345,28 @@ class TestCostModel:
         ]
 
     def test_values_are_exact_fractions(self):
-        result = theoretical_cost(0.15, get_codec("dup").cost(8))
+        result = theoretical_cost(0.15, get_codec("dup").cost())
         assert result.combined.time_units == Fraction(145)
         assert result.combined.time_units.denominator == 1
 
     def test_priority_zero_collapses_to_the_baseline(self):
-        result = theoretical_cost(0, get_codec("dup").cost(8))
+        result = theoretical_cost(0, get_codec("dup").cost())
         assert result.combined.time_units == 100
         assert result.combined.space_units == 100
 
     def test_half_priority(self):
-        result = theoretical_cost(0.5, CostDescriptor(3, 4, 0))
+        result = theoretical_cost(0.5, CostDescriptor(3, 4))
         assert result.combined.time_units == 250
         assert result.combined.space_units == 300
 
     def test_weighted_formula(self):
-        result = theoretical_cost(0.15, CostDescriptor(3, 4, 0), formula="weighted")
+        result = theoretical_cost(0.15, CostDescriptor(3, 4), formula="weighted")
         assert result.combined.time_units == 130
         assert result.combined.space_units == 145
 
     @given(st.fractions(min_value=0, max_value=1))
     def test_combined_row_is_affine_in_p(self, p):
-        tech = CostDescriptor(3, 4, 0)
+        tech = CostDescriptor(3, 4)
         result = theoretical_cost(p, tech)
         assert result.combined.time_units == 100 + p * 300
         assert result.combined.space_units == 100 + p * 400
@@ -358,14 +374,14 @@ class TestCostModel:
     @pytest.mark.parametrize("p", [-0.01, 1.01, 2])
     def test_priority_fraction_bounds(self, p):
         with pytest.raises(ValueError):
-            theoretical_cost(p, CostDescriptor(3, 4, 0))
+            theoretical_cost(p, CostDescriptor(3, 4))
 
     def test_unknown_formula_rejected(self):
         with pytest.raises(ValueError):
-            theoretical_cost(0.5, CostDescriptor(3, 4, 0), formula="geometric")
+            theoretical_cost(0.5, CostDescriptor(3, 4), formula="geometric")
 
     def test_dict_form_uses_plain_numbers(self):
-        payload = theoretical_cost(0.15, CostDescriptor(3, 4, 0)).to_dict()
+        payload = theoretical_cost(0.15, CostDescriptor(3, 4)).to_dict()
         assert payload["rows"][2] == {"system": "msms", "time_units": 145, "space_units": 160}
         assert payload["priority_fraction"] == 0.15
 

@@ -179,7 +179,6 @@ class TestDedupAndCow:
         self.fill_page(store, 1, [1, 2, 3])
         report = store.dedup_scan()
         assert report.pairs_merged == 1
-        assert report.pages_freed == 1
         assert store.physical_page_of(0) == store.physical_page_of(1)
         assert store.refcount(store.physical_page_of(0)) == 2
         assert store.is_cow(0) and store.is_cow(1)
