@@ -1,6 +1,8 @@
 """Protected store: zones, policies, flags, dedup/CoW, and the audit chain."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from msms import (
     MissingAddressError,
     MonotonicityError,
     ProtectedStore,
+    RandomSource,
     ReadPolicy,
     Strategy,
     Validity,
     Word,
+    flip_feng_shui_scenario,
     verify_entry_dicts,
 )
 
@@ -238,6 +242,93 @@ class TestDedupAndCow:
         before = len(store.live_physical_pages())
         store.dedup_scan()
         assert len(store.live_physical_pages()) == before - 1
+
+
+# The Flip Feng Shui defence matrix as ``msms attack`` drives it:
+# (strategy, priority_victim, protect_page).
+DEFENCE_CASES = (
+    ("none", False, False),
+    ("enhanced", False, False),
+    ("enhanced", True, False),
+    ("enhanced", False, True),
+    ("full", False, False),
+)
+
+
+def _defence_drill_dumps():
+    """One dump per defence: an 8-word victim page, 200 single-word
+    background pages (8-bit values repeat, so most of them merge), then
+    the attack."""
+    rng = RandomSource(2016)
+    victim = [rng.word(8) for _ in range(8)]
+    background = [rng.word(8) for _ in range(200)]
+    dumps = []
+    for case, (strategy, priority_victim, protect) in enumerate(DEFENCE_CASES):
+        store = ProtectedStore(strategy=strategy)
+        for offset, word in enumerate(victim):
+            store.store_write(Address(0, offset), word, priority=priority_victim and offset == 0)
+        if protect:
+            store.protect_page(0)
+        for page, word in enumerate(background, start=1):
+            store.store_write(Address(page, 0), word)
+        flip_feng_shui_scenario(store, victim, Address(0, 0), rng=rng.derive(case))
+        dumps.append(store.dump_state())
+    return dumps
+
+
+def _sharing_walk_dumps():
+    """Seeded walks of writes, scans, protections and physical flips over
+    ten virtual pages of 1-3 words drawn from four values, so pages merge
+    in groups and writes break the sharing again."""
+    dumps = []
+    for words_per_page in (1, 2, 3):
+        rng = random.Random(words_per_page)
+        store = ProtectedStore(words_per_page=words_per_page)
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.75 or not store.live_physical_pages():
+                addr = Address(rng.randrange(10), rng.randrange(words_per_page))
+                store.store_write(addr, Word(rng.randrange(4), 8), priority=rng.random() < 0.2)
+            elif roll < 0.87:
+                store.dedup_scan()
+            elif roll < 0.90:
+                store.protect_page(rng.randrange(10))
+            else:
+                ppage = rng.choice(store.live_physical_pages())
+                store.corrupt_physical_bit(ppage, rng.randrange(words_per_page), rng.randrange(8))
+        dumps.append(store.dump_state())
+    return dumps
+
+
+def _digest(dumps):
+    h = hashlib.sha256()
+    for dump in dumps:
+        h.update(json.dumps(dump, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# sha256 of the state dumps, pinned before the page table became the only
+# record of sharing.  Dumps carry the package version string in their
+# metadata, so a version bump changes these digests too.
+GOLDEN_DUMPS = {
+    "defence-drill": (
+        _defence_drill_dumps,
+        "de256e383b2bff3fdbeca6702c243585a1be04229e40e42263ee8da6cfe6cf98",
+    ),
+    "sharing-walk": (
+        _sharing_walk_dumps,
+        "918ad6a7a11b0e5356c08ba667c6aa5fd9fdec3e6e86374f1274148cbbc9d340",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DUMPS))
+def test_state_dumps_match_golden_digests(case):
+    make_dumps, digest = GOLDEN_DUMPS[case]
+    dumps = make_dumps()
+    events = {e["event"] for dump in dumps for e in dump["zones"]["log"]}
+    assert {"merge", "injected_fault"} <= events
+    assert _digest(dumps) == digest
 
 
 class TestAuditChain:
