@@ -201,6 +201,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise CliError(
                 f"state dumps require the store engine; use --n <= {AUTO_STORE_MAX_OPS}"
             )
+        if out_dir is None:
+            raise CliError("--dump-state needs --out DIR to write the state files into")
         engine = "store"
 
     strategies = list(Strategy) if compare else [base_cfg.strategy]

@@ -20,7 +20,10 @@ the flag zone itself refuses the transition as a final guard.
 Virtual pages map onto physical pages through a page table with
 copy-on-write semantics; :meth:`ProtectedStore.dedup_scan` merges
 identical physical pages the way a same-page-merging kernel would,
-skipping pages that were explicitly protected from deduplication.
+skipping pages that were explicitly protected from deduplication.  The
+page table is the only record of sharing: a physical page's refcount is
+the number of virtual pages mapped onto it, and a virtual page is
+copy-on-write exactly when its physical page is shared.
 
 Hardware faults are modeled through the ``corrupt_*`` methods, which
 deliberately bypass the mediated write path and mutate zone contents
@@ -118,29 +121,40 @@ class Address:
 
 
 @dataclass
-class PhysicalPage:
-    id: int
-    words: list[int]
-    refcount: int = 1
-
-
-@dataclass
 class PageTable:
-    """Virtual-to-physical mapping with copy-on-write and dedup exemption."""
+    """Virtual-to-physical mapping and its reverse; the one record of sharing.
+
+    ``sharers`` maps each live physical page to the virtual pages mapped
+    onto it, and only :meth:`map` changes either direction.  Refcount
+    and copy-on-write are derived, never stored: a physical page's
+    refcount is its number of sharers, and a virtual page is
+    copy-on-write exactly when its physical page has more than one.
+    ``protected`` holds the virtual pages exempt from deduplication.
+    """
 
     mapping: dict[int, int] = field(default_factory=dict)
-    cow_flags: dict[int, bool] = field(default_factory=dict)
-    protected_flags: dict[int, bool] = field(default_factory=dict)
+    sharers: dict[int, set[int]] = field(default_factory=dict)
+    protected: set[int] = field(default_factory=set)
 
-    def map(self, vpage: int, ppage: int, cow: bool = False) -> None:
+    def map(self, vpage: int, ppage: int) -> None:
+        """Point ``vpage`` at ``ppage``; a physical page left unmapped drops out."""
+        old = self.mapping.get(vpage)
+        if old is not None:
+            self.sharers[old].remove(vpage)
+            if not self.sharers[old]:
+                del self.sharers[old]
         self.mapping[vpage] = ppage
-        self.cow_flags[vpage] = cow
+        self.sharers.setdefault(ppage, set()).add(vpage)
 
     def virtual_pages_of(self, ppage: int) -> list[int]:
-        return sorted(vp for vp, pp in self.mapping.items() if pp == ppage)
+        return sorted(self.sharers[ppage])
 
-    def is_protected(self, vpage: int) -> bool:
-        return self.protected_flags.get(vpage, False)
+    def refcount(self, ppage: int) -> int:
+        return len(self.sharers[ppage])
+
+    def is_cow(self, vpage: int) -> bool:
+        ppage = self.mapping.get(vpage)
+        return ppage is not None and len(self.sharers[ppage]) > 1
 
 
 @dataclass(frozen=True)
@@ -257,7 +271,6 @@ class MergeReport:
     """Outcome of one deduplication scan."""
 
     pairs_merged: int
-    merges: tuple[tuple[int, int], ...] = ()  # (survivor, freed) physical ids
 
 
 @dataclass(frozen=True)
@@ -290,7 +303,7 @@ class ProtectedStore:
         self.words_per_page = words_per_page
         self.allow_check_zone_faults = allow_check_zone_faults
         # zones; reachable only through store operations
-        self._pages: dict[int, PhysicalPage] = {}
+        self._pages: dict[int, list[int]] = {}  # physical page -> words
         self._table = PageTable()
         self._checks: dict[Address, CodecCheck] = {}
         self._flags: dict[Address, int] = {}
@@ -311,8 +324,7 @@ class ProtectedStore:
         self._check_addr(addr)
         if word.width != self.word_width:
             raise ValueError(f"word width {word.width} != store width {self.word_width}")
-        page = self._resolve_page_for_write(addr)
-        page.words[addr.offset] = word.value
+        self._resolve_page_for_write(addr)[addr.offset] = word.value
         self._written.add(addr)
 
         # The flag zone records the classification whatever the
@@ -361,42 +373,35 @@ class ProtectedStore:
 
     def protect_page(self, vpage: int) -> None:
         """Exempt a virtual page from deduplication."""
-        self._table.protected_flags[vpage] = True
+        self._table.protected.add(vpage)
 
     def dedup_scan(self) -> MergeReport:
         """Merge identical physical pages, sparing protected ones.
 
         For each group of content-identical pages with no protected
-        mapping, all virtual pages are repointed at one survivor and the
-        duplicates are freed; every surviving mapping becomes
-        copy-on-write.
+        mapping, all virtual pages are repointed at the lowest-numbered
+        page and the duplicates are freed; the survivor is now shared,
+        so every mapping onto it is copy-on-write.
         """
         groups: dict[tuple[int, ...], list[int]] = {}
         for pid in sorted(self._pages):
-            if any(self._table.is_protected(vp) for vp in self._table.virtual_pages_of(pid)):
-                continue
-            groups.setdefault(tuple(self._pages[pid].words), []).append(pid)
+            if self._table.protected.isdisjoint(self._table.sharers[pid]):
+                groups.setdefault(tuple(self._pages[pid]), []).append(pid)
 
-        merges: list[tuple[int, int]] = []
-        for pids in groups.values():
-            if len(pids) < 2:
-                continue
-            survivor = self._pages[pids[0]]
-            for dupe_id in pids[1:]:
-                dupe = self._pages.pop(dupe_id)
-                moved = self._table.virtual_pages_of(dupe_id)
+        merged = 0
+        for survivor, *dupes in groups.values():
+            for dupe in dupes:
+                moved = self._table.virtual_pages_of(dupe)
                 for vp in moved:
-                    self._table.map(vp, survivor.id, cow=True)
-                survivor.refcount += dupe.refcount
-                merges.append((survivor.id, dupe_id))
+                    self._table.map(vp, survivor)
+                del self._pages[dupe]
+                merged += 1
                 self._log.append(
                     AuditEvent.MERGE,
                     None,
-                    {"survivor": survivor.id, "freed": dupe_id, "virtual_pages": moved},
+                    {"survivor": survivor, "freed": dupe, "virtual_pages": moved},
                 )
-            for vp in self._table.virtual_pages_of(survivor.id):
-                self._table.cow_flags[vp] = True
-        return MergeReport(len(merges), tuple(merges))
+        return MergeReport(merged)
 
     def verify_audit_chain(self) -> tuple[bool, Optional[int]]:
         return self._log.verify()
@@ -416,23 +421,23 @@ class ProtectedStore:
         return self._table.mapping.get(vpage)
 
     def refcount(self, ppage: int) -> int:
-        return self._pages[ppage].refcount
+        return self._table.refcount(ppage)
 
     def physical_words(self, ppage: int) -> tuple[int, ...]:
-        return tuple(self._pages[ppage].words)
+        return tuple(self._pages[ppage])
 
     def page_table_view(self) -> dict[int, dict[str, Any]]:
         return {
             vp: {
                 "physical": pp,
-                "cow": self._table.cow_flags.get(vp, False),
-                "protected": self._table.is_protected(vp),
+                "cow": self._table.is_cow(vp),
+                "protected": vp in self._table.protected,
             }
             for vp, pp in sorted(self._table.mapping.items())
         }
 
     def is_cow(self, vpage: int) -> bool:
-        return self._table.cow_flags.get(vpage, False)
+        return self._table.is_cow(vpage)
 
     def live_physical_pages(self) -> tuple[int, ...]:
         return tuple(sorted(self._pages))
@@ -445,8 +450,7 @@ class ProtectedStore:
             raise MissingAddressError(str(addr))
         if not 0 <= bit < self.word_width:
             raise IndexError(f"bit {bit} out of range for width {self.word_width}")
-        page = self._pages[self._table.mapping[addr.page]]
-        page.words[addr.offset] ^= 1 << bit
+        self._pages[self._table.mapping[addr.page]][addr.offset] ^= 1 << bit
         self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "data"})
 
     def corrupt_physical_bit(self, ppage: int, offset: int, bit: int) -> None:
@@ -457,7 +461,7 @@ class ProtectedStore:
             raise IndexError(f"offset {offset} out of range")
         if not 0 <= bit < self.word_width:
             raise IndexError(f"bit {bit} out of range for width {self.word_width}")
-        self._pages[ppage].words[offset] ^= 1 << bit
+        self._pages[ppage][offset] ^= 1 << bit
         self._log.append(
             AuditEvent.INJECTED_FAULT,
             None,
@@ -493,10 +497,10 @@ class ProtectedStore:
                 "data": {
                     "physical_pages": {
                         str(pid): {
-                            "words": [format(v, f"0{self.word_width}b") for v in page.words],
-                            "refcount": page.refcount,
+                            "words": [format(v, f"0{self.word_width}b") for v in words],
+                            "refcount": self._table.refcount(pid),
                         }
-                        for pid, page in sorted(self._pages.items())
+                        for pid, words in sorted(self._pages.items())
                     },
                     "page_table": {str(vp): row for vp, row in self.page_table_view().items()},
                 },
@@ -531,39 +535,30 @@ class ProtectedStore:
             raise MonotonicityError(f"priority flag of {addr} cannot return to 0")
         self._flags[addr] = value
 
-    def _allocate_page(self, content: Optional[list[int]] = None) -> PhysicalPage:
+    def _allocate_page(self, vpage: int, words: list[int]) -> int:
+        """Give ``vpage`` a fresh physical page holding ``words``."""
         pid = self._next_physical
         self._next_physical += 1
-        words = list(content) if content is not None else [0] * self.words_per_page
-        page = PhysicalPage(pid, words)
-        self._pages[pid] = page
-        return page
+        self._pages[pid] = words
+        self._table.map(vpage, pid)
+        return pid
 
-    def _resolve_page_for_write(self, addr: Address) -> PhysicalPage:
+    def _resolve_page_for_write(self, addr: Address) -> list[int]:
         pid = self._table.mapping.get(addr.page)
         if pid is None:
-            page = self._allocate_page()
-            self._table.map(addr.page, page.id, cow=False)
-            return page
-        page = self._pages[pid]
-        if page.refcount > 1 and self._table.cow_flags.get(addr.page, False):
-            private = self._allocate_page(page.words)
-            page.refcount -= 1
-            if page.refcount == 1:
-                for vp in self._table.virtual_pages_of(pid):
-                    self._table.cow_flags[vp] = False
-            self._table.map(addr.page, private.id, cow=False)
+            pid = self._allocate_page(addr.page, [0] * self.words_per_page)
+        elif self._table.is_cow(addr.page):
+            private = self._allocate_page(addr.page, list(self._pages[pid]))
             self._log.append(
                 AuditEvent.COW_BREAK,
                 None,
-                {"virtual_page": addr.page, "from": pid, "to": private.id},
+                {"virtual_page": addr.page, "from": pid, "to": private},
             )
-            return private
-        return page
+            pid = private
+        return self._pages[pid]
 
     def _resolve_word(self, addr: Address) -> Word:
         self._check_addr(addr)
         if addr not in self._written:
             raise MissingAddressError(str(addr))
-        page = self._pages[self._table.mapping[addr.page]]
-        return Word(page.words[addr.offset], self.word_width)
+        return Word(self._pages[self._table.mapping[addr.page]][addr.offset], self.word_width)

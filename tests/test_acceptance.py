@@ -23,16 +23,13 @@ from msms import (
     ERROR_COUNT_TOLERANCE,
     EXPECTED_ERROR_COUNT,
     Address,
-    CostDescriptor,
     ProtectedStore,
-    RandomSource,
     SimulationConfig,
     Strategy,
     Word,
     baseline_steps,
     complexity_audit,
     flip_bit,
-    flip_feng_shui_scenario,
     get_codec,
     run_comparison,
     run_simulation,

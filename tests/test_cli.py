@@ -117,6 +117,12 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "store engine" in err
 
+    def test_dump_state_requires_an_output_directory(self, capsys):
+        code, out, err = run(["simulate", "--n", "500", "--dump-state"], capsys)
+        assert code == EXIT_ERROR
+        assert "--out" in err
+        assert out == ""
+
     def test_dump_state_writes_verifiable_state(self, tmp_path, capsys):
         out_dir = tmp_path / "dump"
         code, _, _ = run(SIM_SMALL + ["--dump-state", "--out", str(out_dir)], capsys)

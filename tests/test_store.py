@@ -235,6 +235,37 @@ class TestDedupAndCow:
         assert store.store_read(Address(1, 0)).word == Word(0b1010, 8)
         assert store.store_read(Address(0, 0)).validity is Validity.INVALID
 
+    def test_three_way_sharing_unwinds_one_writer_at_a_time(self):
+        store = make_store()
+        for vpage in range(3):
+            self.fill_page(store, vpage, [4, 5])
+        assert store.dedup_scan().pairs_merged == 2
+        assert [store.physical_page_of(vp) for vp in range(3)] == [0, 0, 0]
+        assert store.refcount(0) == 3
+        assert all(store.is_cow(vp) for vp in range(3))
+        for freed in (1, 2):
+            with pytest.raises(KeyError):
+                store.refcount(freed)
+
+        store.store_write(Address(0, 0), Word(9, 8))
+        assert store.refcount(3) == 1 and not store.is_cow(0)
+        assert store.refcount(0) == 2 and store.is_cow(1) and store.is_cow(2)
+        assert store.page_table_view() == {
+            0: {"physical": 3, "cow": False, "protected": False},
+            1: {"physical": 0, "cow": True, "protected": False},
+            2: {"physical": 0, "cow": True, "protected": False},
+        }
+
+        store.store_write(Address(1, 1), Word(9, 8))
+        assert store.refcount(4) == 1 and not store.is_cow(1)
+        assert store.refcount(0) == 1 and not store.is_cow(2)
+        assert store.page_table_view() == {
+            0: {"physical": 3, "cow": False, "protected": False},
+            1: {"physical": 4, "cow": False, "protected": False},
+            2: {"physical": 0, "cow": False, "protected": False},
+        }
+        assert store.physical_words(0) == (4, 5, 0, 0, 0, 0, 0, 0)
+
     def test_merge_frees_the_duplicate_physical_page(self):
         store = make_store()
         self.fill_page(store, 0, [1])
