@@ -1,5 +1,6 @@
 """Command-line behavior: flags, config files, artifacts, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -317,6 +318,48 @@ class TestAudit:
         code, out, _ = run(["audit", str(bare)], capsys)
         assert code == EXIT_OK
         assert "chain OK" in out
+
+
+# sha256 of the dump files themselves, byte for byte, pinned before the dump
+# writer stopped formatting log entries with json.dumps.  Dumps carry the
+# package version string in their metadata, so a version bump changes these
+# digests too.
+GOLDEN_DUMP_FILES = {
+    "state_none.json": "d635ff10ada409d8269acd2869683d37ec473632289d84a6254f1fbcbb039ed0",
+    "state_enhanced.json": "01e6f4be7a7098cc14c0ff50854fbcf1005e5fc1d82aa7339abda5c59b317bda",
+    "state_full.json": "a4ae96d7b6a47668a03c69f235c22956ed92dff7dd5e13f04f43b4ce8445053c",
+    # a MERGE list, a physical fault and an INTEGRITY_FAILURE
+    "state.json": "f980aa876e247afe0e780af3bf8d57229ea65621b03a4305136f3870e5b0f510",
+}
+
+
+def _sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestDumpFiles:
+    def test_simulate_dump_files_match_golden_digests(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        code, _, _ = run(
+            ["simulate", "--compare", "--n", "3000", "--seed", "2", "--error-prob", "0.002",
+             "--inject-check-zone", "--engine", "store", "--dump-state", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        for name in ("state_none.json", "state_enhanced.json", "state_full.json"):
+            assert _sha256_file(out_dir / name) == GOLDEN_DUMP_FILES[name], name
+
+    def test_attack_dump_file_matches_golden_digest(self, tmp_path, capsys):
+        out_dir = tmp_path / "atk"
+        code, _, _ = run(
+            ["attack", "--codec", "dup", "--priority-victim", "--force-merge", "--seed", "9",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        events = {e["event"] for e in json.loads((out_dir / "state.json").read_text())["zones"]["log"]}
+        assert {"merge", "injected_fault", "integrity_failure"} <= events
+        assert _sha256_file(out_dir / "state.json") == GOLDEN_DUMP_FILES["state.json"]
 
 
 class TestParser:

@@ -22,6 +22,7 @@ from msms import (
     flip_feng_shui_scenario,
     verify_entry_dicts,
 )
+from msms.cli import _write_json
 
 
 def make_store(**kwargs):
@@ -360,6 +361,24 @@ def test_state_dumps_match_golden_digests(case):
     events = {e["event"] for dump in dumps for e in dump["zones"]["log"]}
     assert {"merge", "injected_fault"} <= events
     assert _digest(dumps) == digest
+
+
+# sha256 of the sharing-walk dump files as the CLI writes them, pinned
+# before the dump writer stopped formatting log entries with json.dumps.
+# The version string in the metadata is part of these bytes too.
+GOLDEN_WALK_FILES = (
+    "dc605b77949e58a391ad3415f4a02c57f89b5cdf9a325bae31ca9227fd8b8899",
+    "4904dfa341ba1fa1abd9d97afdbbcb49febab53e7ea417fa6e6224b0735f67fe",
+    "ad0214d393782190c96e5472c6956734ea5f2f995e996e7c542dfb69717cf48a",
+)
+
+
+def test_sharing_walk_dump_files_match_golden_digests(tmp_path):
+    for words_per_page, dump, digest in zip((1, 2, 3), _sharing_walk_dumps(), GOLDEN_WALK_FILES):
+        assert "cow_break" in {e["event"] for e in dump["zones"]["log"]}
+        path = tmp_path / f"walk_{words_per_page}.json"
+        _write_json(path, dump)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, words_per_page
 
 
 class TestAuditChain:
