@@ -38,7 +38,7 @@ from .simulation import (
     run_simulation,
     theoretical_cost,
 )
-from .store import Address, ProtectedStore, Strategy, verify_entry_dicts
+from .store import Address, ProtectedStore, Strategy, format_state_dump, verify_entry_dicts
 from .words import RandomSource
 
 EXIT_OK = 0
@@ -124,6 +124,10 @@ class _Resolver:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_state(path: Path, state: dict) -> None:
+    path.write_text(format_state_dump(state))
 
 
 def _write_manifest(
@@ -243,7 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             outputs.append(report_path)
             if sink:
                 state_path = out_path / f"state_{strategy.value}.json"
-                _write_json(state_path, sink[0].dump_state())
+                _write_state(state_path, sink[0].dump_state())
                 outputs.append(state_path)
         # Free these records before the next strategy's run builds its own.
         del records
@@ -419,7 +423,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         outcome_path = out_path / "attack_outcome.json"
         _write_json(outcome_path, payload)
         state_path = out_path / "state.json"
-        _write_json(state_path, store.dump_state())
+        _write_state(state_path, store.dump_state())
         manifest = _write_manifest(
             out_path, "attack", payload["scenario"], seed, [outcome_path, state_path], started
         )

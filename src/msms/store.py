@@ -37,6 +37,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from collections.abc import Sequence
 from typing import Any, Iterable, Optional, Union
 
 from ._version import __version__ as _version
@@ -159,7 +160,12 @@ class PageTable:
 
 @dataclass(frozen=True)
 class AuditEntry:
-    """One committed log event, chained to its predecessor by digest."""
+    """One committed log event, chained to its predecessor by digest.
+
+    ``detail`` holds the event's detail as sorted ``(key, value)`` pairs
+    with lists frozen into tuples; :meth:`detail_dict` hands out a fresh
+    copy with lists again.
+    """
 
     sequence: int
     event: AuditEvent
@@ -169,7 +175,7 @@ class AuditEntry:
     digest_self: str
 
     def detail_dict(self) -> dict[str, Any]:
-        return dict(self.detail)
+        return {k: list(v) if type(v) is tuple else v for k, v in self.detail}
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -182,25 +188,170 @@ class AuditEntry:
         }
 
 
-def _entry_digest(
-    sequence: int,
-    event: str,
-    address: Optional[str],
-    detail: dict[str, Any],
-    digest_prev: str,
-) -> str:
-    payload = json.dumps(
-        {
-            "sequence": sequence,
-            "event": event,
-            "address": address,
-            "detail": detail,
-            "digest_prev": digest_prev,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+# -- the two encodings of a log entry ------------------------------------------
+#
+# An entry's chain digest is the sha256 of the entry without ``digest_self``
+# in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``;
+# a state dump writes the entry as ``json.dumps(state, indent=2)`` does.  Both
+# texts are built here by hand for the value types the store logs (str, bool,
+# plain int, None, a flat dict with str keys, a list of plain ints) and left
+# to json.dumps for anything else (floats, int subclasses, nested values,
+# whatever a tampered dump holds), so each equals json.dumps byte for byte.
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_json(value: Any) -> Optional[str]:
+    """The JSON text of a value the store logs, or None for any other value."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    t = type(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is str:
+        return _encode_str(value)
+    if t is list and all(type(v) is int for v in value):
+        return "[" + ",".join(map(int.__repr__, value)) + "]"
+    return None
+
+
+def canonical_json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is dict:
+        parts = []
+        for key, item in value.items():
+            text = _scalar_json(item)
+            if type(key) is not str or text is None:
+                break
+            parts.append((key, text))
+        else:
+            parts.sort()
+            return "{" + ",".join([_encode_str(k) + ":" + text for k, text in parts]) + "}"
+    else:
+        text = _scalar_json(value)
+        if text is not None:
+            return text
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _chain_digest(address: str, detail: str, digest_prev: str, event: str, sequence: str) -> str:
+    """sha256 of an entry from the canonical JSON of its five fields."""
+    payload = (
+        f'{{"address":{address},"detail":{detail},"digest_prev":{digest_prev},'
+        f'"event":{event},"sequence":{sequence}}}'
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _entry_digest(
+    sequence: Any,
+    event: Any,
+    address: Any,
+    detail: Any,
+    digest_prev: Any,
+) -> str:
+    # Fields are encoded in sorted-key order, as json.dumps would, so a
+    # value it cannot encode raises the same error at the same field.
+    a = canonical_json(address)
+    d = canonical_json(detail)
+    p = canonical_json(digest_prev)
+    e = canonical_json(event)
+    return _chain_digest(a, d, p, e, canonical_json(sequence))
+
+
+_EVENT_JSON = {event: _encode_str(event.value) for event in AuditEvent}
+
+def _column_digest(
+    sequence: int, event: AuditEvent, address: Optional[str], detail_json: str, digest_prev: str
+) -> str:
+    """sha256 of an entry as :class:`AuditLog` stores it."""
+    return _chain_digest(
+        "null" if address is None else _encode_str(address),
+        detail_json,
+        f'"{digest_prev}"',
+        _EVENT_JSON[event],
+        str(sequence),
+    )
+
+
+_ENTRY_KEYS = ("sequence", "event", "address", "detail", "digest_prev", "digest_self")
+
+
+def _indented_detail(detail: Any, pad: str) -> Optional[str]:
+    """A flat detail dict as indent-2 JSON whose keys sit at ``pad``, or None."""
+    if type(detail) is not dict:
+        return None
+    if not detail:
+        return "{}"
+    lines = []
+    for key, value in detail.items():
+        if type(key) is not str:
+            return None
+        if type(value) is list and value and all(type(v) is int for v in value):
+            items = f",\n{pad}  ".join(map(int.__repr__, value))
+            text = f"[\n{pad}  {items}\n{pad}]"
+        else:
+            text = _scalar_json(value)
+            if text is None:
+                return None
+        lines.append(f"{pad}{_encode_str(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n" + pad[:-2] + "}"
+
+
+def _indented_entry(entry: Any, pad: str) -> str:
+    """A log entry as ``json.dumps(state, indent=2)`` writes it at ``pad``."""
+    if type(entry) is dict and tuple(entry) == _ENTRY_KEYS:
+        sequence, event, address, detail, prev, digest = entry.values()
+        if (
+            type(sequence) is int
+            and type(event) is str
+            and (address is None or type(address) is str)
+            and type(prev) is str
+            and type(digest) is str
+        ):
+            detail_text = _indented_detail(detail, pad + "    ")
+            if detail_text is not None:
+                return (
+                    f"{pad}{{\n"
+                    f'{pad}  "sequence": {int.__repr__(sequence)},\n'
+                    f'{pad}  "event": {_encode_str(event)},\n'
+                    f'{pad}  "address": {"null" if address is None else _encode_str(address)},\n'
+                    f'{pad}  "detail": {detail_text},\n'
+                    f'{pad}  "digest_prev": {_encode_str(prev)},\n'
+                    f'{pad}  "digest_self": {_encode_str(digest)}\n'
+                    f"{pad}}}"
+                )
+    return pad + json.dumps(entry, indent=2).replace("\n", "\n" + pad)
+
+
+# Stands in for the log while json.dumps writes the rest of a state dump.
+_LOG_PLACEHOLDER = "\0msms audit log\0"
+_LOG_SLOT = _encode_str(_LOG_PLACEHOLDER)
+
+
+def format_state_dump(state: dict[str, Any]) -> str:
+    """A state dump's file text: exactly ``json.dumps(state, indent=2) + "\\n"``.
+
+    The log entries under ``state["zones"]["log"]`` are written from one
+    indent-2 template each; everything else goes through json.dumps.
+    """
+    zones = state.get("zones") if type(state) is dict else None
+    log = zones.get("log") if type(zones) is dict else None
+    if type(log) is list and log:
+        text = json.dumps({**state, "zones": {**zones, "log": _LOG_PLACEHOLDER}}, indent=2)
+        if text.count(_LOG_SLOT) == 1:
+            head, tail = text.split(_LOG_SLOT)
+            key_pad = " " * (len(head) - head.rfind("\n") - 1 - len('"log": '))
+            entries = ",\n".join([_indented_entry(e, key_pad + "  ") for e in log])
+            return f"{head}[\n{entries}\n{key_pad}]{tail}\n"
+    return json.dumps(state, indent=2) + "\n"
 
 
 class AuditLog:
@@ -209,44 +360,113 @@ class AuditLog:
     Entry ``i`` commits to entry ``i-1`` through ``digest_prev``;
     altering any committed field breaks verification at that entry.  The
     digest is sha256 and the first entry's predecessor is :data:`GENESIS`.
+
+    The log is kept as columns (event, address, the detail's canonical
+    JSON and digest); an :class:`AuditEntry` is built only when read, and
+    every read parses its own copy of the detail.
     """
 
     def __init__(self):
-        self._entries: list[AuditEntry] = []
+        self._events: list[AuditEvent] = []
+        self._addresses: list[Optional[str]] = []
+        self._details: list[str] = []
+        self._digests: list[str] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._digests)
 
-    def entries(self) -> tuple[AuditEntry, ...]:
-        return tuple(self._entries)
+    def entries(self) -> AuditEntries:
+        return AuditEntries(self, len(self._digests))
 
     def append(
         self,
         event: AuditEvent,
         address: Optional[Address] = None,
         detail: Optional[dict[str, Any]] = None,
-    ) -> AuditEntry:
-        detail = detail or {}
-        sequence = len(self._entries)
-        prev = self._entries[-1].digest_self if self._entries else GENESIS
-        digest = _entry_digest(sequence, event.value, _addr_str(address), detail, prev)
-        entry = AuditEntry(
-            sequence=sequence,
-            event=event,
-            address=_addr_str(address),
-            detail=tuple(sorted(detail.items())),
-            digest_prev=prev,
-            digest_self=digest,
-        )
-        self._entries.append(entry)
-        return entry
+    ) -> None:
+        if not detail:
+            detail_json = "{}"
+        elif isinstance(detail, dict):
+            detail_json = canonical_json(detail)
+        else:
+            raise TypeError(f"audit detail must be a dict, not {type(detail).__name__}")
+        addr = None if address is None else str(address)
+        sequence = len(self._digests)
+        prev = self._digests[-1] if sequence else GENESIS
+        digest = _column_digest(sequence, event, addr, detail_json, prev)
+        self._events.append(event)
+        self._addresses.append(addr)
+        self._details.append(detail_json)
+        self._digests.append(digest)
 
     def verify(self) -> tuple[bool, Optional[int]]:
         """(True, None) for an intact chain, else (False, first broken sequence)."""
-        return verify_entry_dicts(e.to_dict() for e in self._entries)
+        prev = GENESIS
+        columns = zip(self._events, self._addresses, self._details, self._digests)
+        for sequence, (event, addr, detail_json, digest) in enumerate(columns):
+            if _column_digest(sequence, event, addr, detail_json, prev) != digest:
+                return False, sequence
+            prev = digest
+        return True, None
 
     def to_dicts(self) -> list[dict[str, Any]]:
-        return [e.to_dict() for e in self._entries]
+        # Flat details are parsed once per distinct text and copied per
+        # entry; details holding a list are parsed afresh for each entry.
+        flat: dict[str, dict[str, Any]] = {}
+        dicts = []
+        prev = GENESIS
+        columns = zip(self._events, self._addresses, self._details, self._digests)
+        for sequence, (event, addr, detail_json, digest) in enumerate(columns):
+            detail = flat.get(detail_json)
+            if detail is not None:
+                detail = dict(detail)
+            else:
+                detail = json.loads(detail_json)
+                if "[" not in detail_json and "{" not in detail_json[1:]:
+                    flat[detail_json] = dict(detail)
+            dicts.append(
+                {
+                    "sequence": sequence,
+                    "event": event.value,
+                    "address": addr,
+                    "detail": detail,
+                    "digest_prev": prev,
+                    "digest_self": digest,
+                }
+            )
+            prev = digest
+        return dicts
+
+    def entry(self, sequence: int) -> AuditEntry:
+        detail = json.loads(self._details[sequence])
+        return AuditEntry(
+            sequence=sequence,
+            event=self._events[sequence],
+            address=self._addresses[sequence],
+            detail=tuple((k, tuple(v) if type(v) is list else v) for k, v in detail.items()),
+            digest_prev=self._digests[sequence - 1] if sequence else GENESIS,
+            digest_self=self._digests[sequence],
+        )
+
+
+class AuditEntries(Sequence):
+    """Read-only view of a log's first ``n`` entries; each is built on access,
+    so a slice of the tail costs only the entries it holds."""
+
+    def __init__(self, log: AuditLog, n: int):
+        self._log = log
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._log.entry(i) for i in range(*index.indices(self._n)))
+        position = index + self._n if index < 0 else index
+        if not 0 <= position < self._n:
+            raise IndexError("audit entry index out of range")
+        return self._log.entry(position)
 
 
 def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
@@ -260,10 +480,6 @@ def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optiona
             return False, position
         prev = e["digest_self"]
     return True, None
-
-
-def _addr_str(addr: Optional[Address]) -> Optional[str]:
-    return None if addr is None else str(addr)
 
 
 @dataclass(frozen=True)
@@ -414,7 +630,7 @@ class ProtectedStore:
     def check_for(self, addr: Address) -> Optional[CodecCheck]:
         return self._checks.get(addr)
 
-    def audit_entries(self) -> tuple[AuditEntry, ...]:
+    def audit_entries(self) -> AuditEntries:
         return self._log.entries()
 
     def physical_page_of(self, vpage: int) -> Optional[int]:

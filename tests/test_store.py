@@ -22,7 +22,7 @@ from msms import (
     flip_feng_shui_scenario,
     verify_entry_dicts,
 )
-from msms.cli import _write_json
+from msms.cli import _write_state
 
 
 def make_store(**kwargs):
@@ -377,7 +377,7 @@ def test_sharing_walk_dump_files_match_golden_digests(tmp_path):
     for words_per_page, dump, digest in zip((1, 2, 3), _sharing_walk_dumps(), GOLDEN_WALK_FILES):
         assert "cow_break" in {e["event"] for e in dump["zones"]["log"]}
         path = tmp_path / f"walk_{words_per_page}.json"
-        _write_json(path, dump)
+        _write_state(path, dump)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, words_per_page
 
 
