@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Sequence
 from typing import Any, Iterable, Optional, Union
 
 from ._version import __version__ as _version
@@ -267,6 +267,7 @@ def _entry_digest(
 
 
 _EVENT_JSON = {event: _encode_str(event.value) for event in AuditEvent}
+
 
 def _column_digest(
     sequence: int, event: AuditEvent, address: Optional[str], detail_json: str, digest_prev: str

@@ -225,7 +225,7 @@ def test_dump_verifier_agrees_with_the_json_dumps_reference(name, resign):
         if resign:
             try:
                 _resign(entries, position)
-            except Exception:  # noqa: BLE001 - nothing to re-sign; compare as tampered
+            except (KeyError, TypeError, ValueError):  # nothing to re-sign; compare as tampered
                 pass
         expected = outcome(reference_verify, entries)
         assert outcome(verify_entry_dicts, entries) == expected, position
@@ -244,7 +244,7 @@ def test_dump_verifier_agrees_with_the_reference_on_any_field_value(position, fi
     if resign:
         try:
             _resign(entries, position)
-        except Exception:  # noqa: BLE001
+        except (KeyError, TypeError, ValueError):
             pass
     assert outcome(verify_entry_dicts, entries) == outcome(reference_verify, entries)
 
