@@ -453,6 +453,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
             digest = data.get("metadata", {}).get("digest_algorithm", "sha256")
         except (KeyError, TypeError, AttributeError):
             raise CliError(f"{path} is not a recognizable state dump")
+        if not isinstance(entries, list):
+            raise CliError(f"{path} is not a recognizable state dump")
         if digest != "sha256":
             raise CliError(f"{path} names digest {digest!r}; audit chains are verified with sha256")
 

@@ -17,8 +17,8 @@ Built-in codecs:
   the conventional 3x time / 4x space factors.
 * ``none``    - no check data, verification always passes.
 
-New codecs register through :func:`register_codec` and become available
-to the store and the CLI by name.
+The four are the whole registry: the store and the CLI select a codec
+by one of these names.
 """
 
 from __future__ import annotations
@@ -217,32 +217,24 @@ class NullCodec(Codec):
         return CostDescriptor(1, 1)
 
 
-_REGISTRY: dict[str, Codec] = {}
+_REGISTRY: dict[str, Codec] = {
+    "parity": ParityCodec(),
+    "berger": BergerCodec(),
+    "dup": DuplicationCodec(),
+    "none": NullCodec(),
+}
 
 
-def register_codec(name: str, codec: Codec) -> None:
-    """Make a codec selectable by name (store config, CLI ``--codec``)."""
-    _REGISTRY[name] = codec
-
-
-def get_codec(name: Union[str, CodecId, Codec]) -> Codec:
-    if isinstance(name, Codec):
-        return name
-    key = name.value if isinstance(name, CodecId) else str(name)
+def get_codec(name: str) -> Codec:
+    """The shared codec instance selectable by ``name``."""
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown codec {key!r}; registered: {sorted(_REGISTRY)}") from None
+        raise KeyError(f"unknown codec {name!r}; registered: {sorted(_REGISTRY)}") from None
 
 
 def codec_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-register_codec("parity", ParityCodec())
-register_codec("berger", BergerCodec())
-register_codec("dup", DuplicationCodec())
-register_codec("none", NullCodec())
 
 
 def single_flip_error_sets(word: Word) -> tuple[frozenset[Word], frozenset[Word]]:

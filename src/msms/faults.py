@@ -1,12 +1,13 @@
-"""Bit-flip fault injection: stochastic soft errors and targeted attacks.
+"""Bit-flip fault injection: the soft-error calibration and targeted attacks.
 
-Two corruption sources are modeled.  :class:`SoftErrorModel` draws a
-per-operation probability and flips one uniformly chosen bit when it
-fires, the way environmental soft errors arrive.  :func:`rowhammer_flip`
-lands a precise flip at physical-page coordinates, the way a
-disturbance attack does.  Both bypass the store's mediated write path:
-they corrupt memory content directly, so whatever the monitor detects,
-it detects honestly.
+Stochastic soft errors are part of the experiment's plan:
+:func:`msms.simulation.draw_plan` picks the operations that suffer one
+single-bit flip and draws where each flip lands.  This module holds the
+calibration of the default run.  :func:`rowhammer_flip` lands a precise
+flip at physical-page coordinates, the way a disturbance attack does.
+Both kinds of fault bypass the store's mediated write path: they corrupt
+memory content directly, so whatever the monitor detects, it detects
+honestly.
 
 :func:`flip_feng_shui_scenario` chains the classic dedup-then-hammer
 sequence: the attacker materializes a page identical to the victim's,
@@ -32,43 +33,6 @@ DEFAULT_N_OPS = 4_729_000
 EXPECTED_ERROR_COUNT = 7.5
 ERROR_COUNT_TOLERANCE = 1.5
 DEFAULT_ERROR_PROBABILITY = EXPECTED_ERROR_COUNT / DEFAULT_N_OPS
-
-
-@dataclass
-class SoftErrorModel:
-    """Stochastic single-bit soft-error source bound to one store.
-
-    Each :meth:`maybe_inject` call fires with ``per_op_probability``;
-    when it fires, one uniformly chosen bit of the addressed word is
-    flipped in the data zone.  With check-zone faults enabled on the
-    store, the uniform choice extends over the stored check bits of the
-    address as well (positions >= word width land in the check zone).
-    Draw order per call: one Bernoulli draw, then one position draw when
-    it fired.
-    """
-
-    per_op_probability: float
-    rng: RandomSource
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.per_op_probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.per_op_probability}")
-
-    def maybe_inject(self, store: ProtectedStore, addr: Address) -> Optional[int]:
-        """Possibly corrupt one bit at ``addr``; returns the position or None."""
-        if not self.rng.bernoulli(self.per_op_probability):
-            return None
-        width = store.word_width
-        domain = width
-        check = store.check_for(addr) if store.allow_check_zone_faults else None
-        if check is not None:
-            domain += len(check.payload)
-        pos = self.rng.bit_index(domain)
-        if pos < width:
-            store.corrupt_data_bit(addr, pos)
-        else:
-            store.corrupt_check_bit(addr, pos - width)
-        return pos
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from ._version import __version__ as _version
 from .codecs import CostDescriptor, get_codec
 from .faults import DEFAULT_ERROR_PROBABILITY, DEFAULT_N_OPS
 from .store import Address, ProtectedStore, ReadPolicy, Strategy, Validity
-from .words import RandomSource, Word, flip_bit
+from .words import MAX_WIDTH, RandomSource, Word, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 _CSV_CHUNK = 65536  # most rows RecordSet.write_csv assembles at once
@@ -65,8 +65,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_ops < 1:
             raise ValueError("n_ops must be >= 1")
-        if not 1 <= self.word_width <= 64:
-            raise ValueError("word_width must be in [1, 64]")
+        if not 1 <= self.word_width <= MAX_WIDTH:
+            raise ValueError(f"word_width must be in [1, {MAX_WIDTH}]")
         if not 0.0 <= self.priority_fraction <= 1.0:
             raise ValueError("priority_fraction must be in [0, 1]")
         if not 0.0 <= self.per_op_probability <= 1.0:
@@ -89,23 +89,12 @@ class SimulationConfig:
         return out
 
 
-@dataclass(frozen=True)
-class OperationRecord:
-    """Outcome of one simulated operation; one CSV row."""
-
-    op_id: int
-    priority: bool
-    error_injected: bool
-    error_bit: Optional[int]
-    detected: bool
-    steps: int
-
-
 class RecordSet:
-    """Columnar per-operation records for one run.
+    """Columnar per-operation records for one run; one CSV row per operation.
 
-    Behaves as a sequence of :class:`OperationRecord`; kept columnar so
-    full-scale runs stay cheap to aggregate and serialize.
+    Row ``i`` is operation ``i``.  The columns are numpy arrays, so
+    full-scale runs stay cheap to aggregate and serialize; ``len()`` is
+    the number of operations.
     """
 
     def __init__(
@@ -124,24 +113,6 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.priority)
-
-    def __getitem__(self, i: int) -> OperationRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = i % len(self)
-        bit = int(self.error_bit[i])
-        return OperationRecord(
-            op_id=i,
-            priority=bool(self.priority[i]),
-            error_injected=bit >= 0,
-            error_bit=bit if bit >= 0 else None,
-            detected=bool(self.detected[i]),
-            steps=int(self.steps[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def write_csv(self, fh: IO[str]) -> None:
         """Emit one row per operation under the fixed header.
@@ -187,7 +158,6 @@ class RecordSet:
             id_digits += ord("0")
             rows[:, :digits] = id_digits.T
             fh.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
-
 
 
 def _csv_suffix(strategy: Strategy, key: int) -> bytes:

@@ -38,11 +38,11 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from ._version import __version__ as _version
-from .codecs import Codec, CodecCheck, get_codec
-from .words import Word
+from .codecs import CodecCheck, get_codec
+from .words import MAX_WIDTH, Word
 
 DEFAULT_WORDS_PER_PAGE = 512
 
@@ -504,13 +504,15 @@ class ProtectedStore:
 
     def __init__(
         self,
-        codec: Union[str, Codec] = "parity",
+        codec: str = "parity",
         strategy: Strategy = Strategy.ENHANCED,
         read_policy: ReadPolicy = ReadPolicy.RETURN_MARKED_INVALID,
         word_width: int = 8,
         words_per_page: int = DEFAULT_WORDS_PER_PAGE,
         allow_check_zone_faults: bool = False,
     ):
+        if not 1 <= word_width <= MAX_WIDTH:
+            raise ValueError(f"word_width must be in [1, {MAX_WIDTH}], got {word_width}")
         if words_per_page < 1:
             raise ValueError("words_per_page must be positive")
         self.codec = get_codec(codec)
@@ -553,16 +555,15 @@ class ProtectedStore:
             self._checks[addr] = self.codec.encode(word)
         self._log.append(AuditEvent.WRITE, addr, {"priority": bool(priority), "protected": protect})
 
-    def store_read(self, addr: Address, policy: Optional[ReadPolicy] = None) -> ReadResult:
+    def store_read(self, addr: Address) -> ReadResult:
         """Fetch a word and, where the strategy calls for it, verify it.
 
-        Returns ``(word, validity)``; under the suppressing policy the
-        word is None when verification fails.
+        Returns ``(word, validity)``; when the store's read policy is
+        ``suppress_on_invalid`` the word is None if verification fails.
         """
-        policy = self.read_policy if policy is None else ReadPolicy(policy)
         word = self._resolve_word(addr)
         self._log.append(AuditEvent.READ, addr)
-        if policy is ReadPolicy.RETURN_UNCHECKED:
+        if self.read_policy is ReadPolicy.RETURN_UNCHECKED:
             return ReadResult(word, Validity.UNCHECKED)
         # A stored check encodes the write-time protection decision;
         # its absence means this word was never protected.
@@ -572,7 +573,7 @@ class ProtectedStore:
         if self.codec.verify(word, check).valid:
             return ReadResult(word, Validity.VALID)
         self._log.append(AuditEvent.INTEGRITY_FAILURE, addr, {"codec": self.codec.codec_id.value})
-        if policy is ReadPolicy.SUPPRESS_ON_INVALID:
+        if self.read_policy is ReadPolicy.SUPPRESS_ON_INVALID:
             return ReadResult(None, Validity.INVALID)
         return ReadResult(word, Validity.INVALID)
 

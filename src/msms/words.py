@@ -1,7 +1,7 @@
 """Fixed-width bit vectors, single-bit flips, and seeded randomness.
 
 Everything else in the package is built on these three pieces: an
-immutable ``Word`` value type, bit-flip / distance primitives, and a
+immutable ``Word`` value type, a single-bit flip primitive, and a
 ``RandomSource`` whose draws are bit-exact reproducible per seed.
 
 Bit positions are 0-based from the least-significant bit.  String
@@ -80,13 +80,6 @@ def flip_bit(word: Word, pos: int) -> Word:
     return Word(word.value ^ (1 << pos), word.width)
 
 
-def hamming_distance(a: Word, b: Word) -> int:
-    """Number of bit positions in which two equal-width words differ."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    return (a.value ^ b.value).bit_count()
-
-
 class RandomSource:
     """Deterministic seeded randomness: equal seeds give equal draw sequences.
 
@@ -105,14 +98,6 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator, for vectorized draws."""
         return self._rng
-
-    def random(self) -> float:
-        return float(self._rng.random())
-
-    def bernoulli(self, p: float) -> bool:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {p}")
-        return bool(self._rng.random() < p)
 
     def bit_index(self, width: int) -> int:
         """Uniform bit position in ``[0, width)``."""

@@ -238,6 +238,13 @@ class TestAttack:
         assert code == EXIT_ERROR
         assert "protect-page" in err
 
+    @pytest.mark.parametrize("width", ["65", "-3"])
+    def test_width_outside_the_word_range_exits_one(self, width, capsys):
+        code, out, err = run(["attack", "--width", width], capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "word_width must be in [1, 64]" in err
+
     def test_deterministic_outcome_json(self, capsys):
         _, out_a, _ = run(["attack", "--seed", "9"], capsys)
         _, out_b, _ = run(["attack", "--seed", "9"], capsys)
@@ -285,9 +292,22 @@ class TestAudit:
         assert "'sha512'" in err
         assert "BROKEN" not in out
 
-    def test_dump_with_unreadable_metadata_is_rejected(self, tmp_path, capsys):
-        path = tmp_path / "null_metadata.json"
-        path.write_text(json.dumps({"metadata": None, "zones": {"log": []}}))
+    @pytest.mark.parametrize(
+        "dump",
+        [
+            {"metadata": None, "zones": {"log": []}},
+            # a log that is not a list of entries vouches for nothing
+            {"metadata": {}, "zones": {"log": None}},
+            {"metadata": {}, "zones": {"log": {}}},
+            {"metadata": {}, "zones": {"log": ""}},
+            {"metadata": {}, "zones": {"log": 0}},
+            {"metadata": {}, "zones": {"log": False}},
+        ],
+        ids=["metadata-null", "log-null", "log-object", "log-string", "log-zero", "log-false"],
+    )
+    def test_dump_with_unreadable_metadata_is_rejected(self, dump, tmp_path, capsys):
+        path = tmp_path / "unreadable.json"
+        path.write_text(json.dumps(dump))
         code, _, err = run(["audit", str(path)], capsys)
         assert code == EXIT_ERROR
         assert "not a recognizable state dump" in err

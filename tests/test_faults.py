@@ -1,4 +1,4 @@
-"""Soft-error injection and the dedup-then-hammer attack scenario."""
+"""Targeted bit flips and the dedup-then-hammer attack scenario."""
 
 import pytest
 
@@ -7,76 +7,20 @@ from msms import (
     AuditEvent,
     ProtectedStore,
     RandomSource,
-    SoftErrorModel,
     Strategy,
     TargetedFlip,
-    Validity,
     Word,
     flip_feng_shui_scenario,
-    hamming_distance,
     rowhammer_flip,
 )
 
 WIDTH = 8
 
 
-def store_with_word(value=0b1011_0010, priority=True, **kwargs):
-    kwargs.setdefault("words_per_page", 8)
-    store = ProtectedStore(**kwargs)
+def store_with_word(value=0b1011_0010, priority=True):
+    store = ProtectedStore(words_per_page=8)
     store.store_write(Address(0, 0), Word(value, WIDTH), priority=priority)
     return store
-
-
-class TestSoftErrorModel:
-    def test_probability_zero_never_fires(self):
-        store = store_with_word()
-        model = SoftErrorModel(0.0, RandomSource(1))
-        assert all(model.maybe_inject(store, Address(0, 0)) is None for _ in range(200))
-
-    def test_probability_one_always_fires(self):
-        store = store_with_word()
-        model = SoftErrorModel(1.0, RandomSource(1))
-        assert model.maybe_inject(store, Address(0, 0)) is not None
-
-    def test_injection_flips_exactly_one_data_bit(self):
-        store = store_with_word()
-        before = store.store_read(Address(0, 0)).word
-        model = SoftErrorModel(1.0, RandomSource(2))
-        pos = model.maybe_inject(store, Address(0, 0))
-        assert 0 <= pos < WIDTH
-        after = store.store_read(Address(0, 0)).word
-        assert hamming_distance(before, after) == 1
-        assert after.bit(pos) != before.bit(pos)
-
-    def test_data_zone_is_the_whole_domain_when_check_zone_sealed(self):
-        store = store_with_word()
-        model = SoftErrorModel(1.0, RandomSource(3))
-        positions = {model.maybe_inject(store_with_word(), Address(0, 0)) for _ in range(100)}
-        assert positions <= set(range(WIDTH))
-
-    def test_check_zone_positions_appear_when_enabled(self):
-        model = SoftErrorModel(1.0, RandomSource(4))
-        positions = set()
-        for _ in range(200):
-            store = store_with_word(allow_check_zone_faults=True)
-            positions.add(model.maybe_inject(store, Address(0, 0)))
-        # parity stores one check bit, so the domain is width + 1
-        assert positions == set(range(WIDTH + 1))
-
-    def test_check_zone_hit_is_detected_by_the_read(self):
-        model = SoftErrorModel(1.0, RandomSource(5))
-        for _ in range(50):
-            store = store_with_word(allow_check_zone_faults=True)
-            pos = model.maybe_inject(store, Address(0, 0))
-            if pos >= WIDTH:
-                assert store.store_read(Address(0, 0)).validity is Validity.INVALID
-                break
-        else:
-            pytest.fail("no check-zone hit in 50 tries")
-
-    def test_probability_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SoftErrorModel(1.5, RandomSource(0))
 
 
 class TestRowhammer:

@@ -1,17 +1,21 @@
-"""Source hygiene: every imported name is used where it is imported."""
+"""Source hygiene: every imported name is used, and the package exports what it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import msms
+
 ROOT = Path(__file__).resolve().parent.parent
-# The package __init__ imports names only to re-export them.
+PACKAGE_INIT = ROOT / "src" / "msms" / "__init__.py"
+# The package __init__ imports names only to re-export them; the test
+# below checks those against ``__all__`` instead.
 SOURCES = sorted(
     p
-    for pattern in ("src/msms/*.py", "tests/*.py", "scripts/*.py")
+    for pattern in ("src/msms/*.py", "tests/*.py", "scripts/*.py", "perfbench/*.py")
     for p in ROOT.glob(pattern)
-    if p != ROOT / "src" / "msms" / "__init__.py"
+    if p != PACKAGE_INIT
 )
 
 
@@ -38,3 +42,15 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(system, d)\n"
     assert unused_imports(source) == ["os (line 1)", "c (line 3)"]
+
+
+def test_package_exports_exactly_what_it_imports():
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(PACKAGE_INIT.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    # Sorted lists, so a name listed twice in __all__ fails too.
+    assert sorted(msms.__all__) == sorted(imported)
+    assert [name for name in msms.__all__ if not hasattr(msms, name)] == []

@@ -214,8 +214,9 @@ class TestTotals:
 
     def test_enhanced_detects_exactly_the_priority_hits(self):
         report, records = run_simulation(small_config(), engine="fast")
-        hits = [r for r in records if r.error_injected and r.priority]
-        assert report.totals.errors_detected == len(hits)
+        hits = (records.error_bit >= 0) & records.priority
+        assert np.array_equal(records.detected, hits)
+        assert report.totals.errors_detected == int(hits.sum())
 
     def test_miss_rate_none_when_nothing_injected(self):
         report, _ = run_simulation(
@@ -256,29 +257,29 @@ class TestRecords:
     )
     def test_csv_rows_match_the_records(self, cfg):
         _, records = run_simulation(cfg, engine="fast")
+        assert len(records) == cfg.n_ops
         buf = io.StringIO()
         records.write_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == cfg.n_ops + 1
         assert buf.getvalue().endswith("\n")
-        for line, record in zip(lines[1:], records):
-            op_id, pri, strat, injected, bit, detected, steps = line.split(",")
-            assert op_id == str(record.op_id)
-            assert pri == ("true" if record.priority else "false")
-            assert strat == "enhanced"
-            assert injected == ("true" if record.error_injected else "false")
-            assert bit == ("" if record.error_bit is None else str(record.error_bit))
-            assert detected == ("true" if record.detected else "false")
-            assert int(steps) == record.steps
 
-    def test_indexing_and_bounds(self):
-        _, records = run_simulation(small_config(n_ops=50), engine="fast")
-        assert len(records) == 50
-        assert records[0].op_id == 0
-        assert records[-1].op_id == 49
-        with pytest.raises(IndexError):
-            records[50]
+        def text(flag):
+            return "true" if flag else "false"
+
+        columns = zip(
+            records.priority.tolist(),
+            records.error_bit.tolist(),
+            records.detected.tolist(),
+            records.steps.tolist(),
+        )
+        expected = [
+            f"{op_id},{text(pri)},enhanced,{text(bit >= 0)},"
+            f"{bit if bit >= 0 else ''},{text(det)},{steps}"
+            for op_id, (pri, bit, det, steps) in enumerate(columns)
+        ]
+        assert lines[1:] == expected
 
     def test_steps_column_sums_to_the_total(self):
         report, records = run_simulation(small_config(), engine="fast")
@@ -410,22 +411,35 @@ class TestComplexityAudit:
     width=st.integers(1, 16),
     strategy=st.sampled_from(list(Strategy)),
     seed=st.integers(0, 2**32 - 1),
+    per_op_probability=st.sampled_from([0.0, 0.01, 1.0]),
+    inject_check_zone=st.booleans(),
 )
-def test_record_level_invariants(width, strategy, seed):
+def test_record_level_invariants(width, strategy, seed, per_op_probability, inject_check_zone):
     cfg = SimulationConfig(
-        n_ops=400, word_width=width, per_op_probability=0.01, strategy=strategy, seed=seed
+        n_ops=400,
+        word_width=width,
+        per_op_probability=per_op_probability,
+        strategy=strategy,
+        seed=seed,
+        inject_check_zone=inject_check_zone,
     )
     report, records = run_simulation(cfg, engine="fast")
     b = baseline_steps(width)
-    detected_total = 0
-    for r in records:
-        # detection implies injection, and a checked op under the strategy
-        if r.detected:
-            assert r.error_injected
-        checked = strategy is Strategy.FULL or (strategy is Strategy.ENHANCED and r.priority)
-        assert r.steps == (2 * b + 2 if checked else b)
-        if r.error_injected and checked:
-            # parity catches every single data-zone flip
-            assert r.detected
-        detected_total += r.detected
-    assert detected_total == report.totals.errors_detected
+    injected = records.error_bit >= 0
+    if per_op_probability == 0.0:
+        assert not injected.any()
+    if per_op_probability == 1.0:
+        assert injected.all()
+    if strategy is Strategy.ENHANCED:
+        checked = records.priority
+    else:
+        checked = np.full(400, strategy is Strategy.FULL)
+    assert np.array_equal(records.steps, np.where(checked, 2 * b + 2, b))
+    # A flip lands in the word, or in the one parity check bit of a
+    # checked op when check-zone faults are on.
+    domain = np.where(checked & inject_check_zone, width + 1, width)
+    assert (records.error_bit < domain).all()
+    # Detection implies injection into a checked op, and parity catches
+    # every single flip of a checked op, in the word or in its check.
+    assert np.array_equal(records.detected, injected & checked)
+    assert int(records.detected.sum()) == report.totals.errors_detected

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msms import (
+    MAX_WIDTH,
     Address,
     AuditEvent,
     CheckZoneSealedError,
@@ -55,6 +56,11 @@ class TestReadWrite:
         with pytest.raises(ValueError):
             store.store_write(Address(0, 0), Word(1, 4))
 
+    @pytest.mark.parametrize("width", [0, -3, MAX_WIDTH + 1, 100])
+    def test_word_width_outside_the_word_range_rejected(self, width):
+        with pytest.raises(ValueError, match=rf"word_width must be in \[1, {MAX_WIDTH}\]"):
+            make_store(word_width=width)
+
     def test_corrupted_priority_word_reads_invalid(self):
         store = make_store()
         store.store_write(Address(0, 0), Word(0b1011, 8), priority=True)
@@ -94,30 +100,34 @@ class TestStrategies:
         assert store.flag(Address(0, 0)) == 1
 
 
-class TestReadPolicies:
-    @pytest.fixture()
-    def corrupted(self):
-        store = make_store()
-        store.store_write(Address(0, 0), Word(0b1011, 8), priority=True)
-        store.corrupt_data_bit(Address(0, 0), 2)
-        return store
+def corrupted_store(**kwargs):
+    store = make_store(**kwargs)
+    store.store_write(Address(0, 0), Word(0b1011, 8), priority=True)
+    store.corrupt_data_bit(Address(0, 0), 2)
+    return store
 
-    def test_return_unchecked_skips_verification(self, corrupted):
-        word, validity = corrupted.store_read(Address(0, 0), ReadPolicy.RETURN_UNCHECKED)
+
+class TestReadPolicies:
+    def test_return_unchecked_skips_verification(self):
+        corrupted = corrupted_store(read_policy=ReadPolicy.RETURN_UNCHECKED)
+        word, validity = corrupted.store_read(Address(0, 0))
         assert validity is Validity.UNCHECKED
         assert word == Word(0b1111, 8)
 
-    def test_return_marked_invalid_returns_the_damaged_word(self, corrupted):
-        word, validity = corrupted.store_read(Address(0, 0), ReadPolicy.RETURN_MARKED_INVALID)
+    def test_return_marked_invalid_returns_the_damaged_word(self):
+        corrupted = corrupted_store(read_policy=ReadPolicy.RETURN_MARKED_INVALID)
+        word, validity = corrupted.store_read(Address(0, 0))
         assert validity is Validity.INVALID
         assert word == Word(0b1111, 8)
 
-    def test_suppress_on_invalid_withholds_the_word(self, corrupted):
-        word, validity = corrupted.store_read(Address(0, 0), ReadPolicy.SUPPRESS_ON_INVALID)
+    def test_suppress_on_invalid_withholds_the_word(self):
+        corrupted = corrupted_store(read_policy=ReadPolicy.SUPPRESS_ON_INVALID)
+        word, validity = corrupted.store_read(Address(0, 0))
         assert validity is Validity.INVALID
         assert word is None
 
-    def test_integrity_failure_is_logged_once_per_failed_read(self, corrupted):
+    def test_integrity_failure_is_logged_once_per_failed_read(self):
+        corrupted = corrupted_store()
         corrupted.store_read(Address(0, 0))
         events = [e.event for e in corrupted.audit_entries()]
         assert events.count(AuditEvent.INTEGRITY_FAILURE) == 1
