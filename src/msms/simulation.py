@@ -401,7 +401,6 @@ def _run_store(
     priority = plan.priority
     detected = np.zeros(n, dtype=bool)
     error_bit = np.full(n, -1, dtype=np.int16)
-    steps = np.zeros(n, dtype=np.int32)
     bit_cursor = 0
     for i in range(n):
         addr = Address(i // wpp, i % wpp)
@@ -418,7 +417,9 @@ def _run_store(
                 store.corrupt_check_bit(addr, bit - w)
         result = store.store_read(addr)
         detected[i] = result.validity is Validity.INVALID
-        steps[i] = step_cost(config.strategy, is_priority, w)
+    steps = np.where(
+        priority, step_cost(config.strategy, True, w), step_cost(config.strategy, False, w)
+    ).astype(np.int32)
 
     report = _report(
         config,

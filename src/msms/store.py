@@ -191,12 +191,13 @@ class AuditEntry:
 # -- the two encodings of a log entry ------------------------------------------
 #
 # An entry's chain digest is the sha256 of the entry without ``digest_self``
-# in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``;
-# a state dump writes the entry as ``json.dumps(state, indent=2)`` does.  Both
-# texts are built here by hand for the value types the store logs (str, bool,
-# plain int, None, a flat dict with str keys, a list of plain ints) and left
-# to json.dumps for anything else (floats, int subclasses, nested values,
-# whatever a tampered dump holds), so each equals json.dumps byte for byte.
+# in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``,
+# built here by hand for the value types the store logs (str, bool, plain int,
+# None, a flat dict with str keys, a list of plain ints) and left to json.dumps
+# for anything else (floats, int subclasses, nested values, whatever a
+# tampered dump holds), so it equals json.dumps byte for byte.  A state dump
+# writes the entry as ``json.dumps(state, indent=2)`` does;
+# AuditLog.indented_entries fills an indent-2 template from the log's columns.
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -282,77 +283,9 @@ def _column_digest(
     )
 
 
-_ENTRY_KEYS = ("sequence", "event", "address", "detail", "digest_prev", "digest_self")
-
-
-def _indented_detail(detail: Any, pad: str) -> Optional[str]:
-    """A flat detail dict as indent-2 JSON whose keys sit at ``pad``, or None."""
-    if type(detail) is not dict:
-        return None
-    if not detail:
-        return "{}"
-    lines = []
-    for key, value in detail.items():
-        if type(key) is not str:
-            return None
-        if type(value) is list and value and all(type(v) is int for v in value):
-            items = f",\n{pad}  ".join(map(int.__repr__, value))
-            text = f"[\n{pad}  {items}\n{pad}]"
-        else:
-            text = _scalar_json(value)
-            if text is None:
-                return None
-        lines.append(f"{pad}{_encode_str(key)}: {text}")
-    return "{\n" + ",\n".join(lines) + "\n" + pad[:-2] + "}"
-
-
-def _indented_entry(entry: Any, pad: str) -> str:
-    """A log entry as ``json.dumps(state, indent=2)`` writes it at ``pad``."""
-    if type(entry) is dict and tuple(entry) == _ENTRY_KEYS:
-        sequence, event, address, detail, prev, digest = entry.values()
-        if (
-            type(sequence) is int
-            and type(event) is str
-            and (address is None or type(address) is str)
-            and type(prev) is str
-            and type(digest) is str
-        ):
-            detail_text = _indented_detail(detail, pad + "    ")
-            if detail_text is not None:
-                return (
-                    f"{pad}{{\n"
-                    f'{pad}  "sequence": {int.__repr__(sequence)},\n'
-                    f'{pad}  "event": {_encode_str(event)},\n'
-                    f'{pad}  "address": {"null" if address is None else _encode_str(address)},\n'
-                    f'{pad}  "detail": {detail_text},\n'
-                    f'{pad}  "digest_prev": {_encode_str(prev)},\n'
-                    f'{pad}  "digest_self": {_encode_str(digest)}\n'
-                    f"{pad}}}"
-                )
-    return pad + json.dumps(entry, indent=2).replace("\n", "\n" + pad)
-
-
 # Stands in for the log while json.dumps writes the rest of a state dump.
 _LOG_PLACEHOLDER = "\0msms audit log\0"
 _LOG_SLOT = _encode_str(_LOG_PLACEHOLDER)
-
-
-def format_state_dump(state: dict[str, Any]) -> str:
-    """A state dump's file text: exactly ``json.dumps(state, indent=2) + "\\n"``.
-
-    The log entries under ``state["zones"]["log"]`` are written from one
-    indent-2 template each; everything else goes through json.dumps.
-    """
-    zones = state.get("zones") if type(state) is dict else None
-    log = zones.get("log") if type(zones) is dict else None
-    if type(log) is list and log:
-        text = json.dumps({**state, "zones": {**zones, "log": _LOG_PLACEHOLDER}}, indent=2)
-        if text.count(_LOG_SLOT) == 1:
-            head, tail = text.split(_LOG_SLOT)
-            key_pad = " " * (len(head) - head.rfind("\n") - 1 - len('"log": '))
-            entries = ",\n".join([_indented_entry(e, key_pad + "  ") for e in log])
-            return f"{head}[\n{entries}\n{key_pad}]{tail}\n"
-    return json.dumps(state, indent=2) + "\n"
 
 
 class AuditLog:
@@ -437,6 +370,35 @@ class AuditLog:
             )
             prev = digest
         return dicts
+
+    def indented_entries(self) -> str:
+        """The entries as a state dump's ``zones.log`` list holds them.
+
+        The text is that of ``json.dumps(self.to_dicts(), indent=2)`` at a
+        depth of two, without its brackets.  Each distinct detail is
+        indented once.
+        """
+        details: dict[str, str] = {}
+        parts = []
+        prev = GENESIS
+        columns = zip(self._events, self._addresses, self._details, self._digests)
+        for sequence, (event, addr, detail_json, digest) in enumerate(columns):
+            detail = details.get(detail_json)
+            if detail is None:
+                detail = json.dumps(json.loads(detail_json), indent=2).replace("\n", "\n        ")
+                details[detail_json] = detail
+            parts.append(
+                "      {\n"
+                f'        "sequence": {sequence},\n'
+                f'        "event": {_EVENT_JSON[event]},\n'
+                f'        "address": {"null" if addr is None else _encode_str(addr)},\n'
+                f'        "detail": {detail},\n'
+                f'        "digest_prev": "{prev}",\n'
+                f'        "digest_self": "{digest}"\n'
+                "      }"
+            )
+            prev = digest
+        return ",\n".join(parts)
 
     def entry(self, sequence: int) -> AuditEntry:
         detail = json.loads(self._details[sequence])
@@ -700,6 +662,25 @@ class ProtectedStore:
 
     def dump_state(self) -> dict[str, Any]:
         """JSON-ready snapshot with each zone listed separately."""
+        return self._state(self._log.to_dicts())
+
+    def dump_text(self) -> str:
+        """The state dump as a file holds it.
+
+        The text is exactly ``json.dumps(self.dump_state(), indent=2) + "\\n"``.
+        The log is written from its columns, the other zones by json.dumps.
+        """
+        if len(self._log):
+            text = json.dumps(self._state(_LOG_PLACEHOLDER), indent=2)
+            if text.count(_LOG_SLOT) == 1:
+                head, tail = text.split(_LOG_SLOT)
+                return f"{head}[\n{self._log.indented_entries()}\n    ]{tail}\n"
+        return json.dumps(self.dump_state(), indent=2) + "\n"
+
+    def _state(self, log: Any) -> dict[str, Any]:
+        # Most words of a page repeat (an unwritten word is 0), so each
+        # distinct value is formatted once per dump.
+        bits = {v: format(v, f"0{self.word_width}b") for v in set().union(*self._pages.values())}
         return {
             "metadata": {
                 "tool": "msms",
@@ -715,7 +696,7 @@ class ProtectedStore:
                 "data": {
                     "physical_pages": {
                         str(pid): {
-                            "words": [format(v, f"0{self.word_width}b") for v in words],
+                            "words": list(map(bits.__getitem__, words)),
                             "refcount": self._table.refcount(pid),
                         }
                         for pid, words in sorted(self._pages.items())
@@ -727,7 +708,7 @@ class ProtectedStore:
                     for addr, c in sorted(self._checks.items())
                 },
                 "priority": {str(addr): flag for addr, flag in sorted(self._flags.items())},
-                "log": self._log.to_dicts(),
+                "log": log,
             },
         }
 

@@ -7,13 +7,14 @@ verifier against a json.dumps-based reference kept here.
 
 import hashlib
 import json
+import random
 from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msms import Address, AuditEvent, ProtectedStore, Word, verify_entry_dicts
-from msms.store import GENESIS, AuditLog, canonical_json, format_state_dump
+from msms import Address, AuditEvent, ProtectedStore, Strategy, Word, codec_names, verify_entry_dicts
+from msms.store import GENESIS, AuditLog, canonical_json
 
 
 def reference_verify(entries):
@@ -103,60 +104,6 @@ def test_canonical_json_raises_as_json_dumps_does():
 
 # -- the dump writer -----------------------------------------------------------
 
-details = st.dictionaries(
-    st.sampled_from(["bit", "zone", "freed", "survivor", "virtual_pages", "priority", "é"]),
-    st.booleans() | st.integers(0, 99) | st.lists(st.integers(0, 99), max_size=3) | json_values,
-    max_size=4,
-)
-
-
-@st.composite
-def log_entries(draw, sequence):
-    entry = {
-        "sequence": sequence,
-        "event": draw(st.sampled_from([e.value for e in AuditEvent])),
-        "address": draw(st.none() | st.sampled_from(["0:0", "12:511"])),
-        "detail": draw(details),
-        "digest_prev": "%064x" % draw(st.integers(0, 2**256 - 1)),
-        "digest_self": "%064x" % draw(st.integers(0, 2**256 - 1)),
-    }
-    # Now and then an entry the template does not cover.
-    twist = draw(st.sampled_from(["none"] * 6 + ["value", "extra", "order", "drop", "scalar"]))
-    if twist == "value":
-        entry[draw(st.sampled_from(sorted(entry)))] = draw(json_values)
-    elif twist == "extra":
-        entry["tampered"] = draw(json_values)
-    elif twist == "order":
-        entry = dict(reversed(list(entry.items())))
-    elif twist == "drop":
-        del entry[draw(st.sampled_from(sorted(entry)))]
-    elif twist == "scalar":
-        return draw(json_values)
-    return entry
-
-
-@st.composite
-def states(draw):
-    n = draw(st.integers(0, 8))
-    log = [draw(log_entries(i)) for i in range(n)]
-    zones = {
-        "data": {"physical_pages": {"0": {"words": ["0101"], "refcount": 1}}, "page_table": {}},
-        "check": draw(st.dictionaries(texts, json_values, max_size=2)),
-        "priority": {"0:0": 1},
-        "log": log,
-    }
-    if draw(st.booleans()):
-        zones = {"log": log, **zones}  # the log first, not last
-    metadata = {"tool": "msms", "note": draw(texts | st.just("\x00msms audit log\x00"))}
-    return {"metadata": metadata, "zones": zones}
-
-
-@settings(max_examples=150, deadline=None)
-@given(states())
-def test_dump_writer_equals_json_dumps(state):
-    assert format_state_dump(state) == json.dumps(state, indent=2) + "\n"
-
-
 def test_dump_writer_on_a_store_with_every_event():
     store = ProtectedStore(words_per_page=2)
     for page in range(3):
@@ -169,7 +116,62 @@ def test_dump_writer_on_a_store_with_every_event():
     store.store_read(Address(0, 0))
     state = store.dump_state()
     assert {e.value for e in AuditEvent} == {e["event"] for e in state["zones"]["log"]}
-    assert format_state_dump(state) == json.dumps(state, indent=2) + "\n"
+    assert store.dump_text() == json.dumps(state, indent=2) + "\n"
+
+
+def _store_walk(codec, strategy, width, words_per_page, seed, n_ops):
+    """A seeded walk over every store operation and fault.  Values come
+    mostly from {0, 1}, so pages merge and later writes break the sharing."""
+    rng = random.Random(seed)
+    store = ProtectedStore(
+        codec=codec,
+        strategy=strategy,
+        word_width=width,
+        words_per_page=words_per_page,
+        allow_check_zone_faults=True,
+    )
+    written = []
+    for _ in range(n_ops):
+        roll = rng.random()
+        if roll < 0.45 or not written:
+            addr = Address(rng.randrange(6), rng.randrange(min(words_per_page, 3)))
+            value = rng.choice([0, 1, 1, rng.getrandbits(width)])
+            store.store_write(addr, Word(value, width), priority=rng.random() < 0.3)
+            written.append(addr)
+        elif roll < 0.55:
+            store.store_read(rng.choice(written))
+        elif roll < 0.6:
+            store.set_priority(rng.choice(written))
+        elif roll < 0.72:
+            store.dedup_scan()
+        elif roll < 0.75:
+            store.protect_page(rng.randrange(6))
+        elif roll < 0.83:
+            store.corrupt_data_bit(rng.choice(written), rng.randrange(width))
+        elif roll < 0.91:
+            ppage = rng.choice(store.live_physical_pages())
+            store.corrupt_physical_bit(ppage, rng.randrange(words_per_page), rng.randrange(width))
+        else:
+            addr = rng.choice(written)
+            check = store.check_for(addr)
+            if check is not None and check.payload:
+                store.corrupt_check_bit(addr, rng.randrange(len(check.payload)))
+    return store
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    codec=st.sampled_from(codec_names()),
+    strategy=st.sampled_from(list(Strategy)),
+    width=st.sampled_from([1, 8, 13, 64]),
+    words_per_page=st.sampled_from([1, 2, 512]),
+    seed=st.integers(0, 2**32 - 1),
+    n_ops=st.integers(0, 80),
+)
+@example(codec="parity", strategy=Strategy.ENHANCED, width=8, words_per_page=512, seed=0, n_ops=0)
+def test_dump_text_equals_json_dumps_of_the_dump(codec, strategy, width, words_per_page, seed, n_ops):
+    store = _store_walk(codec, strategy, width, words_per_page, seed, n_ops)
+    assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
 
 
 # -- the dump verifier -----------------------------------------------------------

@@ -318,11 +318,11 @@ def _defence_drill_dumps():
     return dumps
 
 
-def _sharing_walk_dumps():
+def _sharing_walk_stores():
     """Seeded walks of writes, scans, protections and physical flips over
     ten virtual pages of 1-3 words drawn from four values, so pages merge
     in groups and writes break the sharing again."""
-    dumps = []
+    stores = []
     for words_per_page in (1, 2, 3):
         rng = random.Random(words_per_page)
         store = ProtectedStore(words_per_page=words_per_page)
@@ -338,8 +338,12 @@ def _sharing_walk_dumps():
             else:
                 ppage = rng.choice(store.live_physical_pages())
                 store.corrupt_physical_bit(ppage, rng.randrange(words_per_page), rng.randrange(8))
-        dumps.append(store.dump_state())
-    return dumps
+        stores.append(store)
+    return stores
+
+
+def _sharing_walk_dumps():
+    return [store.dump_state() for store in _sharing_walk_stores()]
 
 
 def _digest(dumps):
@@ -384,11 +388,32 @@ GOLDEN_WALK_FILES = (
 
 
 def test_sharing_walk_dump_files_match_golden_digests(tmp_path):
-    for words_per_page, dump, digest in zip((1, 2, 3), _sharing_walk_dumps(), GOLDEN_WALK_FILES):
-        assert "cow_break" in {e["event"] for e in dump["zones"]["log"]}
+    for words_per_page, store, digest in zip((1, 2, 3), _sharing_walk_stores(), GOLDEN_WALK_FILES):
+        assert AuditEvent.COW_BREAK in {e.event for e in store.audit_entries()}
         path = tmp_path / f"walk_{words_per_page}.json"
-        _write_state(path, dump)
+        _write_state(path, store)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, words_per_page
+
+
+@pytest.mark.parametrize("width", [1, 13, 64])
+def test_dumped_page_words_are_the_physical_words_in_binary(width):
+    # The pinned dumps are all 8 bits wide; these widths are not.
+    rng = random.Random(width)
+    contents = [
+        [rng.choice([0, 1, 2**width - 1, rng.getrandbits(width)]) for _ in range(rng.randrange(1, 5))]
+        for _ in range(6)
+    ]
+    store = ProtectedStore(word_width=width, words_per_page=4)
+    for page in range(12):
+        for offset, value in enumerate(contents[page % 6]):
+            store.store_write(Address(page, offset), Word(value, width))
+    store.dedup_scan()
+    store.corrupt_physical_bit(store.live_physical_pages()[0], 3, width - 1)
+    pages = store.dump_state()["zones"]["data"]["physical_pages"]
+    assert len(pages) == len(store.live_physical_pages()) <= 6
+    for p in store.live_physical_pages():
+        expected = [format(v, f"0{width}b") for v in store.physical_words(p)]
+        assert pages[str(p)]["words"] == expected
 
 
 class TestAuditChain:

@@ -74,18 +74,6 @@ class TestFlipBit:
         assert (w.value ^ flip_bit(w, pos).value).bit_count() == 1
 
 
-class TestHammingDistance:
-    def test_distance_counts_differing_positions(self):
-        a, b = Word.from_string("10110"), Word.from_string("10010")
-        assert (a.value ^ b.value).bit_count() == 1
-        a, b = Word.from_string("00000"), Word.from_string("11111")
-        assert (a.value ^ b.value).bit_count() == 5
-
-    @given(words())
-    def test_distance_to_self_is_zero(self, w):
-        assert (w.value ^ w.value).bit_count() == 0
-
-
 class TestRandomSource:
     def test_same_seed_replays_the_same_draws(self):
         a, b = RandomSource(123), RandomSource(123)
