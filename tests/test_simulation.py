@@ -24,6 +24,7 @@ from msms import (
     step_cost,
     theoretical_cost,
 )
+from msms.cli import main
 
 
 def small_config(**kwargs):
@@ -299,7 +300,8 @@ class _HashSink:
 # sha256 of each strategy's records CSV, pinned on the original row-by-row
 # writer.  Full scale seed 0 matches the benchmark's golden digests; the
 # check-zone config crosses a 65,536-row chunk boundary and the 5->6 digit
-# op_id boundary, with flipped check bits at positions >= 64.
+# op_id boundary, with flipped check bits at positions >= 64.  The quota
+# config pins the permutation branch of draw_plan.
 GOLDEN_CSV = {
     "full-scale-seed-0": (
         SimulationConfig(seed=0),
@@ -323,6 +325,14 @@ GOLDEN_CSV = {
             "full": "a6e31306e79b91a0cd236c0454ba28abdba48a36673ecb1d4deceabb281994d0",
         },
     ),
+    "quota-seed-4": (
+        SimulationConfig(n_ops=100_050, priority_mode="quota", per_op_probability=0.01, seed=4),
+        {
+            "none": "1008eb53c7822673cf6ba7e69e92c533723082afe0393aba85ebf911d8f934c8",
+            "enhanced": "34594c17a6969d610264b3242a11dcd5b834439029a23ae0e7177b56b941c836",
+            "full": "0cde34ad4eb222fa25c7e52d19981b8e74a2ba02da89ae1ae2a05b1b382609f6",
+        },
+    ),
 }
 
 
@@ -334,6 +344,20 @@ def test_csv_bytes_match_golden_digests(case, strategy):
     sink = _HashSink()
     records.write_csv(sink)
     assert sink.h.hexdigest() == digests[strategy]
+
+
+def test_cli_compare_writes_the_golden_csv_bytes(tmp_path, capsys):
+    """``simulate --compare`` writes the same bytes as ``run_simulation``."""
+    code = main(
+        ["simulate", "--compare", "--n", "100050", "--seed", "0", "--codec", "dup",
+         "--inject-check-zone", "--width", "64", "--error-prob", "0.05", "--out", str(tmp_path)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    _, digests = GOLDEN_CSV["dup-check-zone-w64"]
+    for strategy, digest in digests.items():
+        data = (tmp_path / f"records_{strategy}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, strategy
 
 
 class TestCostModel:
