@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from . import simulation
 from ._version import __version__
 from .codecs import CostDescriptor, codec_names
 from .faults import DEFAULT_ERROR_PROBABILITY, DEFAULT_N_OPS, flip_feng_shui_scenario
@@ -218,11 +219,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     table_rows: list[list[str]] = []
     totals_by_strategy: dict[str, dict] = {}
     engine_used = None
+    # Through the module, so a wrapper on simulation.draw_plan sees the call.
+    plan = simulation.draw_plan(base_cfg)
     for strategy in strategies:
         cfg = base_cfg.replaced(strategy=strategy)
         sink: Optional[list] = [] if dump_state else None
         report, records = run_simulation(
-            cfg, engine=engine, keep_records=out_path is not None, capture_store=sink
+            cfg, engine=engine, keep_records=out_path is not None, capture_store=sink, plan=plan
         )
         engine_used = report.engine
         t = report.totals

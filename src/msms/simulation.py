@@ -214,7 +214,7 @@ class OperationPlan:
 
     words: np.ndarray  # uint64 word values, one per op
     priority: np.ndarray  # bool
-    inject: np.ndarray  # bool
+    injected: np.ndarray  # ascending indices of the ops that suffer a flip
     bit_draws: np.ndarray  # float64 uniforms behind the flip positions, one per injected op
 
 
@@ -249,20 +249,22 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     rng = RandomSource(config.seed).generator
     n, w = config.n_ops, config.word_width
     words = rng.integers(0, (1 << w) - 1, size=n, dtype=np.uint64, endpoint=True)
+    # The priority and the injection uniforms share one buffer.
     if config.priority_mode == "quota":
         quota = round(config.priority_fraction * n)
         priority = np.zeros(n, dtype=bool)
         priority[rng.permutation(n)[:quota]] = True
+        u = rng.random(n)
     else:
-        priority = rng.random(n) < config.priority_fraction
-    inject = rng.random(n) < config.per_op_probability
-    bit_draws = rng.random(int(np.count_nonzero(inject)))
-    return OperationPlan(words=words, priority=priority, inject=inject, bit_draws=bit_draws)
+        u = rng.random(n)
+        priority = u < config.priority_fraction
+        rng.random(out=u)
+    injected = np.flatnonzero(u < config.per_op_probability)
+    bit_draws = rng.random(len(injected))
+    return OperationPlan(words=words, priority=priority, injected=injected, bit_draws=bit_draws)
 
 
-def _flip_positions(
-    config: SimulationConfig, priority: np.ndarray, inject: np.ndarray, bit_draws: np.ndarray
-) -> np.ndarray:
+def _flip_positions(config: SimulationConfig, plan: OperationPlan) -> np.ndarray:
     """Flip position floor(u x domain) for each injected op's uniform draw u.
 
     The domain is the word width; with ``inject_check_zone`` it also
@@ -270,13 +272,13 @@ def _flip_positions(
     positions depend on the strategy while the plan does not.
     """
     w = config.word_width
-    domain = np.full(len(bit_draws), w, dtype=np.uint16)
+    domain = np.full(len(plan.bit_draws), w, dtype=np.uint16)
     if config.inject_check_zone:
         # Faults may land in the stored check of a checked operation;
         # positions >= width address the check payload.
-        checked = _checked_mask(config.strategy, priority)[np.flatnonzero(inject)]
+        checked = _checked_mask(config.strategy, plan.priority[plan.injected])
         domain[checked] += get_codec(config.codec).check_bits(w)
-    return np.floor(bit_draws * domain).astype(np.uint16)
+    return np.floor(plan.bit_draws * domain).astype(np.uint16)
 
 
 def run_simulation(
@@ -284,6 +286,7 @@ def run_simulation(
     engine: str = "auto",
     keep_records: bool = True,
     capture_store: Optional[list] = None,
+    plan: Optional[OperationPlan] = None,
 ) -> tuple[SimulationReport, Optional[RecordSet]]:
     """Execute one run; returns the aggregate report and the records.
 
@@ -293,21 +296,17 @@ def run_simulation(
     only sensible for small runs.  Both produce identical records.
     With ``keep_records=False`` only the report is built.  Passing a
     list as ``capture_store`` appends the finished store after a
-    store-engine run, for state dumps and audits.
+    store-engine run, for state dumps and audits.  A ``plan`` from
+    ``draw_plan(config)`` is replayed instead of drawing a new one, so
+    the three strategies of one seed can share it.
     """
-    return _run_plan(config, draw_plan(config), engine, keep_records, capture_store)
-
-
-def _run_plan(
-    config: SimulationConfig,
-    plan: OperationPlan,
-    engine: str,
-    keep_records: bool,
-    capture_store: Optional[list] = None,
-):
+    if plan is None:
+        plan = draw_plan(config)
+    elif len(plan.words) != config.n_ops:
+        raise ValueError(f"plan has {len(plan.words)} ops, config has n_ops={config.n_ops}")
     if engine == "auto":
         engine = "store" if config.n_ops <= AUTO_STORE_MAX_OPS else "fast"
-    bits = _flip_positions(config, plan.priority, plan.inject, plan.bit_draws)
+    bits = _flip_positions(config, plan)
     if engine == "fast":
         if capture_store is not None:
             raise ValueError("state capture requires the store engine")
@@ -354,30 +353,27 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, k
     codec = get_codec(config.codec)
     b = baseline_steps(w)
     checked = _checked_mask(config.strategy, plan.priority)
-    checked_count = int(checked.sum())
-    priority_count = int(plan.priority.sum())
-    total_steps = n * b + checked_count * (b + 2)
+    priority_count = int(np.count_nonzero(plan.priority))
+    total_steps = n * b + int(np.count_nonzero(checked)) * (b + 2)
 
-    injected_idx = np.flatnonzero(plan.inject)
-    detected_bits = []
-    for k, i in enumerate(injected_idx):
-        word = Word(int(plan.words[i]), w)
-        hit = _verify_injected_op(codec, word, int(bits[k]), bool(checked[i]), w)
-        detected_bits.append(hit)
-    detected_count = sum(detected_bits)
+    detected_bits = [
+        _verify_injected_op(codec, Word(int(plan.words[i]), w), int(bit), bool(checked[i]), w)
+        for i, bit in zip(plan.injected, bits)
+    ]
 
     records = None
     if keep_records:
-        steps = np.full(n, b, dtype=np.int32)
-        steps[checked] += b + 2
+        steps = checked.astype(np.int32)
+        steps *= b + 2
+        steps += b
         error_bit = np.full(n, -1, dtype=np.int16)
-        error_bit[injected_idx] = bits.astype(np.int16)
+        error_bit[plan.injected] = bits
         detected = np.zeros(n, dtype=bool)
-        detected[injected_idx] = detected_bits
+        detected[plan.injected] = detected_bits
         records = RecordSet(config.strategy, plan.priority, error_bit, detected, steps)
 
     report = _report(
-        config, "fast", priority_count, len(injected_idx), detected_count, total_steps
+        config, "fast", priority_count, len(plan.injected), sum(detected_bits), total_steps
     )
     return report, records
 
@@ -401,15 +397,14 @@ def _run_store(
     priority = plan.priority
     detected = np.zeros(n, dtype=bool)
     error_bit = np.full(n, -1, dtype=np.int16)
-    bit_cursor = 0
+    flips = dict(zip(plan.injected.tolist(), bits.tolist()))
     for i in range(n):
         addr = Address(i // wpp, i % wpp)
         word = Word(int(plan.words[i]), w)
         is_priority = bool(priority[i])
         store.store_write(addr, word, priority=is_priority)
-        if plan.inject[i]:
-            bit = int(bits[bit_cursor])
-            bit_cursor += 1
+        bit = flips.get(i)
+        if bit is not None:
             error_bit[i] = bit
             if bit < w:
                 store.corrupt_data_bit(addr, bit)
@@ -424,9 +419,9 @@ def _run_store(
     report = _report(
         config,
         "store",
-        int(priority.sum()),
-        int(plan.inject.sum()),
-        int(detected.sum()),
+        int(np.count_nonzero(priority)),
+        len(plan.injected),
+        int(np.count_nonzero(detected)),
         int(steps.sum()),
     )
     records = RecordSet(config.strategy, priority, error_bit, detected, steps) if keep_records else None
@@ -447,7 +442,7 @@ def run_comparison(
     """
     plan = draw_plan(config)
     return {
-        strategy: _run_plan(config.replaced(strategy=strategy), plan, engine, keep_records)
+        strategy: run_simulation(config.replaced(strategy=strategy), engine, keep_records, plan=plan)
         for strategy in (Strategy.NONE, Strategy.ENHANCED, Strategy.FULL)
     }
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from msms import CSV_HEADER
+from msms import CSV_HEADER, simulation
 from msms.cli import (
     EXIT_ATTACK_SUCCEEDED,
     EXIT_ERROR,
@@ -67,6 +67,19 @@ class TestSimulate:
         run(SIM_SMALL + ["--out", str(a)], capsys)
         run(SIM_SMALL + ["--out", str(b)], capsys)
         assert (a / "records_enhanced.csv").read_bytes() == (b / "records_enhanced.csv").read_bytes()
+
+    def test_compare_draws_one_plan(self, capsys, monkeypatch):
+        calls = []
+        draw_plan = simulation.draw_plan
+
+        def counted(config):
+            calls.append(config)
+            return draw_plan(config)
+
+        monkeypatch.setattr(simulation, "draw_plan", counted)
+        code, _, _ = run(SIM_SMALL + ["--compare", "--engine", "fast"], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_strategy_none_detects_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "none"

@@ -102,7 +102,7 @@ class TestPlan:
         a, b = draw_plan(small_config()), draw_plan(small_config())
         assert np.array_equal(a.words, b.words)
         assert np.array_equal(a.priority, b.priority)
-        assert np.array_equal(a.inject, b.inject)
+        assert np.array_equal(a.injected, b.injected)
         assert np.array_equal(a.bit_draws, b.bit_draws)
 
     def test_different_seed_different_plan(self):
@@ -175,6 +175,12 @@ class TestEngines:
         assert len(sink) == 1
         ok, _ = sink[0].verify_audit_chain()
         assert ok
+
+    @pytest.mark.parametrize("n_ops", [1999, 2001])
+    def test_a_plan_for_another_length_is_rejected(self, n_ops):
+        plan = draw_plan(small_config(n_ops=n_ops))
+        with pytest.raises(ValueError, match="n_ops"):
+            run_simulation(small_config(), engine="fast", plan=plan)
 
     def test_capture_store_needs_the_store_engine(self):
         with pytest.raises(ValueError):
