@@ -38,7 +38,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ._version import __version__ as _version
 from .codecs import CodecCheck, get_codec
@@ -110,9 +110,12 @@ class CheckZoneSealedError(PermissionError):
     """Fault targeted the check zone while check-zone faults are disabled."""
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """Virtual location of one word: (virtual page, word offset)."""
+class Address(NamedTuple):
+    """Virtual location of one word: (virtual page, word offset).
+
+    A tuple, so hashing, equality and order run in C; the hash is
+    ``hash((page, offset))``, as a frozen dataclass's was.
+    """
 
     page: int
     offset: int

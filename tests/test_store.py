@@ -31,6 +31,17 @@ def make_store(**kwargs):
     return ProtectedStore(**kwargs)
 
 
+@given(st.integers(0, 2**40), st.integers(0, 2**20), st.integers(0, 2**40), st.integers(0, 2**20))
+def test_address_hashes_orders_and_prints_as_its_fields(page, offset, page2, offset2):
+    a, b = Address(page, offset), Address(page2, offset2)
+    assert hash(a) == hash((page, offset))
+    # State dumps list checks and flags sorted by address.
+    assert (a < b) == ((page, offset) < (page2, offset2))
+    assert (a == b) == ((page, offset) == (page2, offset2))
+    assert str(a) == f"{page}:{offset}"
+    assert repr(a) == f"Address(page={page}, offset={offset})"
+
+
 class TestReadWrite:
     def test_round_trip_priority_word(self):
         store = make_store()
