@@ -249,7 +249,7 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     rng = RandomSource(config.seed).generator
     n, w = config.n_ops, config.word_width
     words = rng.integers(0, (1 << w) - 1, size=n, dtype=np.uint64, endpoint=True)
-    # The priority and the injection uniforms share one buffer.
+    # The injection uniforms overwrite the priority ones in place: one n-float buffer, not two.
     if config.priority_mode == "quota":
         quota = round(config.priority_fraction * n)
         priority = np.zeros(n, dtype=bool)

@@ -111,11 +111,7 @@ class CheckZoneSealedError(PermissionError):
 
 
 class Address(NamedTuple):
-    """Virtual location of one word: (virtual page, word offset).
-
-    A tuple, so hashing, equality and order run in C; the hash is
-    ``hash((page, offset))``, as a frozen dataclass's was.
-    """
+    """Virtual location of one word: a (virtual page, word offset) tuple."""
 
     page: int
     offset: int
