@@ -395,6 +395,35 @@ class TestDumpFiles:
         assert _sha256_file(out_dir / "state.json") == GOLDEN_DUMP_FILES["state.json"]
 
 
+# sha256 of `msms attack` stdout, which carries the outcome's audit tail.
+# The payload names the package version, so a version bump changes these
+# digests too.
+GOLDEN_ATTACK_STDOUT = [
+    (["--strategy", "none", "--seed", "3"], EXIT_ATTACK_SUCCEEDED,
+     "f04ff9d14b24eb2c8265428743f6a3159075a0c7e9ca5c016d5542a81b95443d"),
+    (["--strategy", "enhanced", "--seed", "3"], EXIT_ATTACK_SUCCEEDED,
+     "99153fa3878025b716a316f97567b019bba41d08e2f0c320d367d3103be5efe3"),
+    (["--strategy", "enhanced", "--priority-victim", "--seed", "3"], EXIT_OK,
+     "fe5bb0c4214963957ef583721fee29b47b5283e0287199120c30e1a5f10e018f"),
+    (["--strategy", "full", "--seed", "3"], EXIT_OK,
+     "251b837ee01cae453649ffcb180464e2031905af3e45e11a35491ecef60f3fcf"),
+    (["--protect-page", "--seed", "3"], EXIT_OK,
+     "9624a606cd55279641110ab1615c3e8ad9c4a7416794e6b7ab28800df788feed"),
+    (["--codec", "dup", "--priority-victim", "--force-merge", "--seed", "9"], EXIT_OK,
+     "b30c4c4c793389643f5b97f1026a2a9dee5c9b67c431ecb26ee02dabc0c0731e"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, status, digest", GOLDEN_ATTACK_STDOUT, ids=[" ".join(c[0]) for c in GOLDEN_ATTACK_STDOUT]
+)
+def test_attack_stdout_matches_golden_digest(flags, status, digest, capsys):
+    code, out, _ = run(["attack", *flags], capsys)
+    assert code == status
+    assert len(json.loads(out)["outcome"]["audit_tail"]) == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestParser:
     def test_unknown_command_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
