@@ -32,9 +32,7 @@ from .faults import (
     ERROR_COUNT_TOLERANCE,
     EXPECTED_ERROR_COUNT,
     ScenarioOutcome,
-    TargetedFlip,
     flip_feng_shui_scenario,
-    rowhammer_flip,
 )
 from .simulation import (
     CSV_HEADER,
@@ -55,7 +53,6 @@ from .simulation import (
 )
 from .store import (
     Address,
-    AuditEntry,
     AuditEvent,
     AuditLog,
     CheckZoneSealedError,
@@ -95,7 +92,6 @@ __all__ = [
     "ReadPolicy",
     "Validity",
     "AuditEvent",
-    "AuditEntry",
     "AuditLog",
     "verify_entry_dicts",
     "MergeReport",
@@ -108,8 +104,6 @@ __all__ = [
     "DEFAULT_ERROR_PROBABILITY",
     "EXPECTED_ERROR_COUNT",
     "ERROR_COUNT_TOLERANCE",
-    "TargetedFlip",
-    "rowhammer_flip",
     "ScenarioOutcome",
     "flip_feng_shui_scenario",
     "CSV_HEADER",

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -222,7 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Through the module, so a wrapper on simulation.draw_plan sees the call.
     plan = simulation.draw_plan(base_cfg)
     for strategy in strategies:
-        cfg = base_cfg.replaced(strategy=strategy)
+        cfg = replace(base_cfg, strategy=strategy)
         sink: Optional[list] = [] if dump_state else None
         report, records = run_simulation(
             cfg, engine=engine, keep_records=out_path is not None, capture_store=sink, plan=plan
@@ -575,10 +576,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"msms: error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"msms: error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

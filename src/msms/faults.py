@@ -3,11 +3,11 @@
 Stochastic soft errors are part of the experiment's plan:
 :func:`msms.simulation.draw_plan` picks the operations that suffer one
 single-bit flip and draws where each flip lands.  This module holds the
-calibration of the default run.  :func:`rowhammer_flip` lands a precise
-flip at physical-page coordinates, the way a disturbance attack does.
-Both kinds of fault bypass the store's mediated write path: they corrupt
-memory content directly, so whatever the monitor detects, it detects
-honestly.
+calibration of the default run.  A targeted flip lands at physical-page
+coordinates through :meth:`msms.store.ProtectedStore.corrupt_physical_bit`,
+the way a disturbance attack does.  Both kinds of fault bypass the store's
+mediated write path: they corrupt memory content directly, so whatever the
+monitor detects, it detects honestly.
 
 :func:`flip_feng_shui_scenario` chains the classic dedup-then-hammer
 sequence: the attacker materializes a page identical to the victim's,
@@ -18,10 +18,10 @@ the victim read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from .store import Address, AuditEntry, ProtectedStore, Validity
+from .store import Address, ProtectedStore, Validity
 from .words import RandomSource, Word
 
 # Calibration for the default full-scale run: the per-operation
@@ -36,39 +36,20 @@ DEFAULT_ERROR_PROBABILITY = EXPECTED_ERROR_COUNT / DEFAULT_N_OPS
 
 
 @dataclass(frozen=True)
-class TargetedFlip:
-    """Physical coordinates of one precisely induced bit flip."""
-
-    physical_page: int
-    word_offset: int
-    bit: int
-
-
-def rowhammer_flip(store: ProtectedStore, target: TargetedFlip) -> None:
-    """Flip exactly the targeted bit in the physical page.
-
-    Every virtual page mapped to that physical page observes the flip;
-    copy-on-write offers no protection because no write goes through
-    the page table.
-    """
-    store.corrupt_physical_bit(target.physical_page, target.word_offset, target.bit)
-
-
-@dataclass(frozen=True)
 class ScenarioOutcome:
     """What happened in one dedup-then-flip attack run."""
 
     merged: bool
     flip_applied: bool
     detected: bool
-    audit_tail: tuple[AuditEntry, ...] = ()
+    audit_tail: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "merged": self.merged,
             "flip_applied": self.flip_applied,
             "detected": self.detected,
-            "audit_tail": [e.to_dict() for e in self.audit_tail],
+            "audit_tail": self.audit_tail,
         }
 
 
@@ -109,7 +90,9 @@ def flip_feng_shui_scenario(
     flip_applied = False
     if merged or force_merge:
         bit = rng.bit_index(store.word_width) if rng is not None else 0
-        rowhammer_flip(store, TargetedFlip(victim_ppage, victim_addr.offset, bit))
+        # Every mapping of the physical page observes the flip; copy-on-write
+        # cannot stop it, since no write goes through the page table.
+        store.corrupt_physical_bit(victim_ppage, victim_addr.offset, bit)
         flip_applied = True
 
     result = store.store_read(victim_addr)
@@ -118,5 +101,5 @@ def flip_feng_shui_scenario(
         merged=merged,
         flip_applied=flip_applied,
         detected=detected,
-        audit_tail=store.audit_entries()[-5:],
+        audit_tail=store.audit_entries(-5),
     )

@@ -26,7 +26,7 @@ constant per word.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import IO, Optional, Union
 
@@ -77,11 +77,6 @@ class SimulationConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.priority_mode not in ("bernoulli", "quota"):
             raise ValueError(f"unknown priority_mode {self.priority_mode!r}")
-
-    def replaced(self, **changes) -> "SimulationConfig":
-        fields = asdict(self)
-        fields.update(changes)
-        return SimulationConfig(**fields)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -442,7 +437,9 @@ def run_comparison(
     """
     plan = draw_plan(config)
     return {
-        strategy: run_simulation(config.replaced(strategy=strategy), engine, keep_records, plan=plan)
+        strategy: run_simulation(
+            replace(config, strategy=strategy), engine, keep_records, plan=plan
+        )
         for strategy in (Strategy.NONE, Strategy.ENHANCED, Strategy.FULL)
     }
 

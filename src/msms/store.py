@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, NamedTuple, Optional
@@ -157,36 +156,6 @@ class PageTable:
         return ppage is not None and len(self.sharers[ppage]) > 1
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    """One committed log event, chained to its predecessor by digest.
-
-    ``detail`` holds the event's detail as sorted ``(key, value)`` pairs
-    with lists frozen into tuples; :meth:`detail_dict` hands out a fresh
-    copy with lists again.
-    """
-
-    sequence: int
-    event: AuditEvent
-    address: Optional[str]
-    detail: tuple[tuple[str, Any], ...]
-    digest_prev: str
-    digest_self: str
-
-    def detail_dict(self) -> dict[str, Any]:
-        return {k: list(v) if type(v) is tuple else v for k, v in self.detail}
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sequence": self.sequence,
-            "event": self.event.value,
-            "address": self.address,
-            "detail": self.detail_dict(),
-            "digest_prev": self.digest_prev,
-            "digest_self": self.digest_self,
-        }
-
-
 # -- the two encodings of a log entry ------------------------------------------
 #
 # An entry's chain digest is the sha256 of the entry without ``digest_self``
@@ -282,7 +251,8 @@ def _column_digest(
     )
 
 
-# Stands in for the log while json.dumps writes the rest of a state dump.
+# Stands in for the log while json.dumps writes the rest of a state dump.  No
+# other string the store dumps holds a NUL, so the slot occurs exactly once.
 _LOG_PLACEHOLDER = "\0msms audit log\0"
 _LOG_SLOT = _encode_str(_LOG_PLACEHOLDER)
 
@@ -295,8 +265,9 @@ class AuditLog:
     digest is sha256 and the first entry's predecessor is :data:`GENESIS`.
 
     The log is kept as columns (event, address, the detail's canonical
-    JSON and digest); an :class:`AuditEntry` is built only when read, and
-    every read parses its own copy of the detail.
+    JSON and digest).  Outside the log an entry is a dict, as a state
+    dump holds it (:meth:`to_dicts`), or the dump's text of it
+    (:meth:`indented_entries`).
     """
 
     def __init__(self):
@@ -307,9 +278,6 @@ class AuditLog:
 
     def __len__(self) -> int:
         return len(self._digests)
-
-    def entries(self) -> AuditEntries:
-        return AuditEntries(self, len(self._digests))
 
     def append(
         self,
@@ -332,24 +300,25 @@ class AuditLog:
         self._details.append(detail_json)
         self._digests.append(digest)
 
-    def verify(self) -> tuple[bool, Optional[int]]:
-        """(True, None) for an intact chain, else (False, first broken sequence)."""
-        prev = GENESIS
-        columns = zip(self._events, self._addresses, self._details, self._digests)
-        for sequence, (event, addr, detail_json, digest) in enumerate(columns):
-            if _column_digest(sequence, event, addr, detail_json, prev) != digest:
-                return False, sequence
-            prev = digest
-        return True, None
+    def to_dicts(self, start: int = 0) -> list[dict[str, Any]]:
+        """The entries from sequence ``start`` on, as a state dump's ``zones.log`` holds them.
 
-    def to_dicts(self) -> list[dict[str, Any]]:
+        A negative ``start`` counts from the end, as in a slice.  Every call
+        builds fresh dicts, so nothing a caller holds can change the log.
+        """
+        start = slice(start, None).indices(len(self._digests))[0]
         # Flat details are parsed once per distinct text and copied per
         # entry; details holding a list are parsed afresh for each entry.
         flat: dict[str, dict[str, Any]] = {}
         dicts = []
-        prev = GENESIS
-        columns = zip(self._events, self._addresses, self._details, self._digests)
-        for sequence, (event, addr, detail_json, digest) in enumerate(columns):
+        prev = self._digests[start - 1] if start else GENESIS
+        columns = zip(
+            self._events[start:],
+            self._addresses[start:],
+            self._details[start:],
+            self._digests[start:],
+        )
+        for sequence, (event, addr, detail_json, digest) in enumerate(columns, start):
             detail = flat.get(detail_json)
             if detail is not None:
                 detail = dict(detail)
@@ -399,37 +368,6 @@ class AuditLog:
             prev = digest
         return ",\n".join(parts)
 
-    def entry(self, sequence: int) -> AuditEntry:
-        detail = json.loads(self._details[sequence])
-        return AuditEntry(
-            sequence=sequence,
-            event=self._events[sequence],
-            address=self._addresses[sequence],
-            detail=tuple((k, tuple(v) if type(v) is list else v) for k, v in detail.items()),
-            digest_prev=self._digests[sequence - 1] if sequence else GENESIS,
-            digest_self=self._digests[sequence],
-        )
-
-
-class AuditEntries(Sequence):
-    """Read-only view of a log's first ``n`` entries; each is built on access,
-    so a slice of the tail costs only the entries it holds."""
-
-    def __init__(self, log: AuditLog, n: int):
-        self._log = log
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._log.entry(i) for i in range(*index.indices(self._n)))
-        position = index + self._n if index < 0 else index
-        if not 0 <= position < self._n:
-            raise IndexError("audit entry index out of range")
-        return self._log.entry(position)
-
 
 def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
     """Verify a dumped audit chain without reconstructing the store."""
@@ -451,13 +389,9 @@ class MergeReport:
     pairs_merged: int
 
 
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     word: Optional[Word]
     validity: Validity
-
-    def __iter__(self):
-        return iter((self.word, self.validity))
 
 
 class ProtectedStore:
@@ -583,7 +517,7 @@ class ProtectedStore:
         return MergeReport(merged)
 
     def verify_audit_chain(self) -> tuple[bool, Optional[int]]:
-        return self._log.verify()
+        return verify_entry_dicts(self._log.to_dicts())
 
     # -- inspection (read-only views) ---------------------------------------
 
@@ -593,8 +527,9 @@ class ProtectedStore:
     def check_for(self, addr: Address) -> Optional[CodecCheck]:
         return self._checks.get(addr)
 
-    def audit_entries(self) -> AuditEntries:
-        return self._log.entries()
+    def audit_entries(self, start: int = 0) -> list[dict[str, Any]]:
+        """The log from sequence ``start`` on, as :meth:`dump_state` writes it."""
+        return self._log.to_dicts(start)
 
     def physical_page_of(self, vpage: int) -> Optional[int]:
         return self._table.mapping.get(vpage)
@@ -669,12 +604,9 @@ class ProtectedStore:
         The text is exactly ``json.dumps(self.dump_state(), indent=2) + "\\n"``.
         The log is written from its columns, the other zones by json.dumps.
         """
-        if len(self._log):
-            text = json.dumps(self._state(_LOG_PLACEHOLDER), indent=2)
-            if text.count(_LOG_SLOT) == 1:
-                head, tail = text.split(_LOG_SLOT)
-                return f"{head}[\n{self._log.indented_entries()}\n    ]{tail}\n"
-        return json.dumps(self.dump_state(), indent=2) + "\n"
+        head, tail = json.dumps(self._state(_LOG_PLACEHOLDER), indent=2).split(_LOG_SLOT)
+        log = f"[\n{self._log.indented_entries()}\n    ]" if len(self._log) else "[]"
+        return f"{head}{log}{tail}\n"
 
     def _state(self, log: Any) -> dict[str, Any]:
         # Most words of a page repeat (an unwritten word is 0), so each

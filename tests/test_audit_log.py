@@ -259,7 +259,7 @@ def _merged_store():
     for page in range(3):
         store.store_write(Address(page, 0), Word(9, 8))
     store.dedup_scan()
-    merge = next(i for i, e in enumerate(store.audit_entries()) if e.event is AuditEvent.MERGE)
+    merge = next(i for i, e in enumerate(store.audit_entries()) if e["event"] == AuditEvent.MERGE)
     return store, merge
 
 
@@ -272,12 +272,10 @@ def test_dumps_and_entries_hand_out_copies_of_the_log():
     assert store.verify_audit_chain() == (True, None)
     assert store.dump_state()["zones"]["log"][k]["detail"]["virtual_pages"] == pages
 
-    entry = store.audit_entries()[k]
-    entry.detail_dict()["virtual_pages"].append(99)
-    entry.to_dict()["detail"]["virtual_pages"].append(99)
-    assert entry.detail_dict()["virtual_pages"] == pages
+    store.audit_entries()[k]["detail"]["virtual_pages"].append(99)
+    store.audit_entries(k)[0]["detail"]["freed"] = 7
     assert store.verify_audit_chain() == (True, None)
-    assert store.audit_entries()[k].detail_dict()["virtual_pages"] == pages
+    assert store.audit_entries()[k]["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": pages}
 
 
 def test_append_keeps_its_own_copy_of_the_detail():
@@ -286,7 +284,7 @@ def test_append_keeps_its_own_copy_of_the_detail():
     log.append(AuditEvent.MERGE, None, detail)
     detail["virtual_pages"].append(2)
     detail["freed"] = 7
-    assert log.verify() == (True, None)
+    assert verify_entry_dicts(log.to_dicts()) == (True, None)
     assert log.to_dicts()[0]["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1]}
 
 
@@ -305,29 +303,25 @@ def test_live_chain_equals_its_dump():
     store, _ = _merged_store()
     store.store_read(Address(0, 0))
     dicts = store.dump_state()["zones"]["log"]
-    assert [e.to_dict() for e in store.audit_entries()] == dicts
+    assert store.audit_entries() == dicts
     assert verify_entry_dicts(dicts) == reference_verify(dicts) == (True, None)
 
 
-def test_taking_the_tail_builds_only_the_tail(monkeypatch):
+def test_taking_the_tail_builds_only_the_tail():
     store = ProtectedStore(words_per_page=4)
     for i in range(40):
         store.store_write(Address(i // 4, i % 4), Word(i, 8))
-    entries = store.audit_entries()
-    everything = tuple(entries)
+    everything = store.audit_entries()
+    assert store.audit_entries(-5) == everything[-5:]
+    assert store.audit_entries(35) == everything[35:]
+    assert store.audit_entries(-41) == store.audit_entries(0) == everything
+    assert store.audit_entries(40) == store.audit_entries(99) == []
 
-    built = []
-    entry = AuditLog.entry
-    monkeypatch.setattr(AuditLog, "entry", lambda log, i: built.append(i) or entry(log, i))
-    tail = entries[-5:]
-    assert built == [35, 36, 37, 38, 39]
-    assert tail == everything[-5:]
-    assert isinstance(tail, tuple)
-    assert entries[-1] == everything[-1] and entries[0] == everything[0]
-    with pytest.raises(IndexError):
-        entries[40]
-    with pytest.raises(IndexError):
-        entries[-41]
+    # Only the tail's details are parsed: an unparsable earlier one is never read.
+    store._log._details[3] = "{not json"
+    assert store.audit_entries(-5) == everything[-5:]
+    with pytest.raises(json.JSONDecodeError):
+        store.audit_entries()
 
 
 def test_an_entry_view_is_a_snapshot():
@@ -336,5 +330,5 @@ def test_an_entry_view_is_a_snapshot():
     entries = store.audit_entries()
     store.store_read(Address(0, 0))
     assert len(entries) == 1 and len(store.audit_entries()) == 2
-    assert [e.event for e in entries] == [AuditEvent.WRITE]
-    assert [e.event for e in reversed(store.audit_entries())] == [AuditEvent.READ, AuditEvent.WRITE]
+    assert [e["event"] for e in entries] == ["write"]
+    assert [e["event"] for e in reversed(store.audit_entries())] == ["read", "write"]

@@ -415,7 +415,9 @@ GOLDEN_ATTACK_STDOUT = [
 
 
 @pytest.mark.parametrize(
-    "flags, status, digest", GOLDEN_ATTACK_STDOUT, ids=[" ".join(c[0]) for c in GOLDEN_ATTACK_STDOUT]
+    "flags, status, digest",
+    GOLDEN_ATTACK_STDOUT,
+    ids=[" ".join(flags) for flags, _, _ in GOLDEN_ATTACK_STDOUT],
 )
 def test_attack_stdout_matches_golden_digest(flags, status, digest, capsys):
     code, out, _ = run(["attack", *flags], capsys)

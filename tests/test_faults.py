@@ -8,10 +8,8 @@ from msms import (
     ProtectedStore,
     RandomSource,
     Strategy,
-    TargetedFlip,
     Word,
     flip_feng_shui_scenario,
-    rowhammer_flip,
 )
 
 WIDTH = 8
@@ -27,7 +25,7 @@ class TestRowhammer:
     def test_flip_lands_at_exact_physical_coordinates(self):
         store = store_with_word(value=0b0000_0001, priority=False)
         ppage = store.physical_page_of(0)
-        rowhammer_flip(store, TargetedFlip(ppage, 0, 0))
+        store.corrupt_physical_bit(ppage, 0, 0)
         assert store.store_read(Address(0, 0)).word == Word(0, WIDTH)
 
     def test_flip_bypasses_copy_on_write(self):
@@ -36,7 +34,7 @@ class TestRowhammer:
         store.store_write(Address(1, 0), Word(9, WIDTH))
         store.dedup_scan()
         ppage = store.physical_page_of(0)
-        rowhammer_flip(store, TargetedFlip(ppage, 0, 1))
+        store.corrupt_physical_bit(ppage, 0, 1)
         # both sharers observe the flip; no private copy was made
         assert store.store_read(Address(0, 0)).word == Word(11, WIDTH)
         assert store.store_read(Address(1, 0)).word == Word(11, WIDTH)
@@ -44,8 +42,8 @@ class TestRowhammer:
 
     def test_flip_is_logged_as_injected_fault(self):
         store = store_with_word()
-        rowhammer_flip(store, TargetedFlip(store.physical_page_of(0), 0, 3))
-        assert store.audit_entries()[-1].event is AuditEvent.INJECTED_FAULT
+        store.corrupt_physical_bit(store.physical_page_of(0), 0, 3)
+        assert store.audit_entries(-1)[0]["event"] == AuditEvent.INJECTED_FAULT
 
 
 def run_scenario(strategy, priority_victim, protect, seed=7, force_merge=False, codec="parity"):
@@ -105,13 +103,14 @@ class TestFlipFengShuiMatrix:
 
     def test_scenario_is_fully_audited(self):
         store, outcome = run_scenario(Strategy.ENHANCED, priority_victim=True, protect=False)
-        events = [e.event for e in store.audit_entries()]
+        events = [e["event"] for e in store.audit_entries()]
         assert AuditEvent.MERGE in events
         assert AuditEvent.INJECTED_FAULT in events
         # the victim's read comes last and discovers the corruption
         assert events[-2:] == [AuditEvent.READ, AuditEvent.INTEGRITY_FAILURE]
         ok, _ = store.verify_audit_chain()
         assert ok
+        assert outcome.audit_tail == store.audit_entries(-5)
         assert len(outcome.audit_tail) == 5
 
     def test_unwritten_victim_rejected(self):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -86,10 +87,12 @@ class TestConfig:
 
     def test_replaced_returns_a_new_config(self):
         cfg = small_config()
-        other = cfg.replaced(strategy="full")
+        other = replace(cfg, strategy="full")
         assert other.strategy is Strategy.FULL
         assert cfg.strategy is Strategy.ENHANCED
         assert other.n_ops == cfg.n_ops
+        with pytest.raises(ValueError):
+            replace(cfg, word_width=0)
 
     def test_to_dict_round_trips_through_json(self):
         cfg = small_config()
@@ -193,7 +196,7 @@ class TestEngines:
             codec="dup", word_width=13, per_op_probability=0.05, inject_check_zone=inject_check_zone
         )
         for strategy, (report, records) in run_comparison(cfg, engine=engine).items():
-            alone_report, alone_records = run_simulation(cfg.replaced(strategy=strategy), engine=engine)
+            alone_report, alone_records = run_simulation(replace(cfg, strategy=strategy), engine=engine)
             assert report == alone_report
             a, b = io.StringIO(), io.StringIO()
             records.write_csv(a)
@@ -346,7 +349,7 @@ GOLDEN_CSV = {
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
 def test_csv_bytes_match_golden_digests(case, strategy):
     cfg, digests = GOLDEN_CSV[case]
-    _, records = run_simulation(cfg.replaced(strategy=strategy), engine="fast")
+    _, records = run_simulation(replace(cfg, strategy=strategy), engine="fast")
     sink = _HashSink()
     records.write_csv(sink)
     assert sink.h.hexdigest() == digests[strategy]

@@ -140,7 +140,7 @@ class TestReadPolicies:
     def test_integrity_failure_is_logged_once_per_failed_read(self):
         corrupted = corrupted_store()
         corrupted.store_read(Address(0, 0))
-        events = [e.event for e in corrupted.audit_entries()]
+        events = [e["event"] for e in corrupted.audit_entries()]
         assert events.count(AuditEvent.INTEGRITY_FAILURE) == 1
 
 
@@ -233,7 +233,7 @@ class TestDedupAndCow:
         assert store.physical_page_of(0) != store.physical_page_of(1)
         assert store.store_read(Address(0, 0)).word == Word(1, 8)
         assert store.store_read(Address(1, 0)).word == Word(99, 8)
-        events = [e.event for e in store.audit_entries()]
+        events = [e["event"] for e in store.audit_entries()]
         assert AuditEvent.COW_BREAK in events
         assert AuditEvent.MERGE in events
 
@@ -400,7 +400,7 @@ GOLDEN_WALK_FILES = (
 
 def test_sharing_walk_dump_files_match_golden_digests(tmp_path):
     for words_per_page, store, digest in zip((1, 2, 3), _sharing_walk_stores(), GOLDEN_WALK_FILES):
-        assert AuditEvent.COW_BREAK in {e.event for e in store.audit_entries()}
+        assert AuditEvent.COW_BREAK in [e["event"] for e in store.audit_entries()]
         path = tmp_path / f"walk_{words_per_page}.json"
         _write_state(path, store)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, words_per_page
@@ -442,7 +442,7 @@ class TestAuditChain:
         store.store_write(Address(0, 0), Word(1, 8))
         store.store_read(Address(0, 0))
         entries = store.audit_entries()
-        assert entries[1].digest_prev == entries[0].digest_self
+        assert entries[1]["digest_prev"] == entries[0]["digest_self"]
 
     def test_dumped_chain_verifies_standalone(self):
         store = make_store()
