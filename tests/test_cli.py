@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from msms import CSV_HEADER, simulation
+from msms import CSV_HEADER, SimulationConfig, run_simulation, simulation
 from msms.cli import (
     EXIT_ATTACK_SUCCEEDED,
     EXIT_ERROR,
@@ -111,6 +111,13 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "key=value" in err
 
+    def test_config_file_error_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 900\n# comment\nthis is not a setting\n")
+        code, _, err = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == EXIT_ERROR
+        assert "run.cfg:3:" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(["simulate", "--config", "/no/such/file.cfg"], capsys)
         assert code == EXIT_ERROR
@@ -130,6 +137,16 @@ class TestSimulate:
         code, _, err = run(["simulate", "--dump-state"], capsys)
         assert code == EXIT_ERROR
         assert "store engine" in err
+
+    def test_dump_state_size_limit_is_inclusive(self, tmp_path, capsys):
+        argv = ["simulate", "--strategy", "none", "--dump-state", "--out", str(tmp_path)]
+        code, _, err = run(argv + ["--n", "20001"], capsys)
+        assert code == EXIT_ERROR
+        assert "store engine" in err
+        assert not (tmp_path / "state_none.json").exists()
+        code, _, _ = run(argv + ["--n", "20000"], capsys)
+        assert code == EXIT_OK
+        assert (tmp_path / "state_none.json").exists()
 
     def test_dump_state_requires_an_output_directory(self, capsys):
         code, out, err = run(["simulate", "--n", "500", "--dump-state"], capsys)
@@ -205,6 +222,20 @@ class TestCostModel:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "cost-model"
 
+    def test_out_dir_is_created_with_its_parents(self, tmp_path, capsys):
+        out_dir = tmp_path / "a" / "b" / "c"
+        code, _, _ = run(["cost-model", "--out", str(out_dir)], capsys)
+        assert code == EXIT_OK
+        assert (out_dir / "cost_model.json").exists()
+
+    def test_manifest_echoes_the_multipliers_as_floats(self, tmp_path, capsys):
+        code, _, _ = run(["cost-model", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        text = (tmp_path / "manifest.json").read_text()
+        assert '"time_mult": 3.0,' in text
+        assert '"space_mult": 4.0,' in text
+        assert '"p_priority": 0.15,' in text
+
     def test_p_out_of_range_rejected(self, capsys):
         code, _, err = run(["cost-model", "--p-priority", "1.2"], capsys)
         assert code == EXIT_ERROR
@@ -220,6 +251,11 @@ class TestAttack:
         assert payload["outcome"]["flip_applied"] is True
         assert payload["outcome"]["detected"] is False
         assert payload["defended"] is False
+
+    def test_undefended_attack_exit_status_is_two(self, capsys):
+        # The documented contract is the number itself, not the constant.
+        code, _, _ = run(["attack", "--strategy", "none", "--seed", "3"], capsys)
+        assert code == 2
 
     def test_priority_victim_under_enhanced_is_defended(self, capsys):
         code, out, _ = run(
@@ -424,6 +460,53 @@ def test_attack_stdout_matches_golden_digest(flags, status, digest, capsys):
     assert code == status
     assert len(json.loads(out)["outcome"]["audit_tail"]) == 5
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `msms simulate` stdout.  The first column of the table is as
+# wide as its widest cell, "strategy" and "enhanced" alike.  Neither run
+# names an engine that depends on the run's size.
+GOLDEN_SIMULATE_STDOUT = [
+    (["--compare", "--seed", "1"],
+     "b25633cdb801eba97fae73a1db84a5d0265ce69b44330f4cf23bc5fbaab95c23"),
+    (["--compare", "--n", "3000", "--seed", "2", "--error-prob", "0.002",
+      "--inject-check-zone", "--engine", "store"],
+     "da4ac58973ec1cacfd6c31e92c00984de20168a7597c7e564be687d25a225f7a"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    GOLDEN_SIMULATE_STDOUT,
+    ids=[" ".join(flags) for flags, _ in GOLDEN_SIMULATE_STDOUT],
+)
+def test_simulate_stdout_matches_golden_digest(flags, digest, capsys):
+    code, out, err = run(["simulate", *flags], capsys)
+    assert code == EXIT_OK
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the records CSVs of a run without --inject-check-zone.  Under
+# check-zone injection this seed would put flips into stored check bits
+# (the guard below), so the pin also holds the flag's default at off.
+GOLDEN_NO_CHECK_ZONE_ARGS = ["--compare", "--n", "1500", "--seed", "12", "--error-prob", "0.004"]
+GOLDEN_NO_CHECK_ZONE_CSV = {
+    "none": "471c97b8600aada5f9cd378fbd13eea41eb6ed46e678e11e0e761621e7f5bffc",
+    "enhanced": "f3c9034fe7a964806a2b57db8a9eec4bc690f5bbb2c3c344a0d7d68200e44dd4",
+    "full": "b2a7c6f2148d4678e43d4dc388450725c4fa941ee44f38cce803ed18a0cb26c1",
+}
+
+
+def test_records_without_check_zone_flag_match_golden_digests(tmp_path, capsys):
+    code, _, _ = run(["simulate", *GOLDEN_NO_CHECK_ZONE_ARGS, "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    for strategy, digest in GOLDEN_NO_CHECK_ZONE_CSV.items():
+        assert _sha256_file(tmp_path / f"records_{strategy}.csv") == digest, strategy
+    flipped = SimulationConfig(
+        n_ops=1500, seed=12, per_op_probability=0.004, inject_check_zone=True, strategy="full"
+    )
+    _, records = run_simulation(flipped, engine="fast")
+    assert (records.error_bit >= flipped.word_width).any()
 
 
 class TestParser:

@@ -26,6 +26,7 @@ from msms import (
     theoretical_cost,
 )
 from msms.cli import main
+from msms.simulation import OperationPlan
 
 
 def small_config(**kwargs):
@@ -202,6 +203,52 @@ class TestEngines:
             records.write_csv(a)
             alone_records.write_csv(b)
             assert a.getvalue() == b.getvalue()
+
+
+ORACLE_SAMPLE = 1000  # ops sampled per full-scale plan, on top of every injected op
+
+
+@pytest.mark.parametrize(
+    "word_width, priority_mode, seed",
+    [(1, "bernoulli", 0), (1, "quota", 1), (64, "bernoulli", 2), (64, "quota", 3)],
+)
+def test_store_engine_replays_full_scale_runs(word_width, priority_mode, seed):
+    """The store engine checks full-scale fast runs on a sub-plan.
+
+    The store engine gives op ``i`` the address ``(i // 512, i % 512)``,
+    and no other op writes, corrupts or reads it: no two ops share an
+    address.  So record row ``i`` depends only on op ``i``'s own plan
+    entries (its word, its priority and, if it is injected, its flip
+    draw), and a sub-plan that keeps some ops in order replays their rows
+    exactly.  The sub-plan keeps every injected op, so ``bit_draws`` stays
+    whole, plus a seeded sample of the rest.
+    """
+    base = SimulationConfig(word_width=word_width, priority_mode=priority_mode, seed=seed)
+    plan = draw_plan(base)
+    sample = np.random.default_rng(seed).integers(0, base.n_ops, ORACLE_SAMPLE)
+    idx = np.union1d(plan.injected, sample)
+    sub = OperationPlan(
+        words=plan.words[idx],
+        priority=plan.priority[idx],
+        injected=np.searchsorted(idx, plan.injected),
+        bit_draws=plan.bit_draws,
+    )
+    assert len(plan.injected) > 0
+    check_zone_flips = 0
+    for codec in codec_names():
+        for inject_check_zone in (False, True):
+            for strategy in Strategy:
+                cfg = replace(base, codec=codec, inject_check_zone=inject_check_zone, strategy=strategy)
+                _, fast = run_simulation(cfg, engine="fast", plan=plan)
+                _, store = run_simulation(replace(cfg, n_ops=len(idx)), engine="store", plan=sub)
+                for column in ("priority", "error_bit", "detected", "steps"):
+                    assert np.array_equal(getattr(fast, column)[idx], getattr(store, column)), (
+                        cfg,
+                        column,
+                    )
+                check_zone_flips += int(np.count_nonzero(store.error_bit >= word_width))
+    # The replay reached the check-zone branch of the store engine.
+    assert check_zone_flips > 0
 
 
 class TestTotals:
