@@ -29,10 +29,9 @@ from typing import Any, Callable, Optional
 
 from . import simulation
 from ._version import __version__
-from .codecs import CostDescriptor, codec_names
+from .codecs import CostDescriptor, codec_names, get_codec
 from .faults import DEFAULT_ERROR_PROBABILITY, DEFAULT_N_OPS, flip_feng_shui_scenario
 from .simulation import (
-    AUTO_STORE_MAX_OPS,
     DEFAULT_PRIORITY_FRACTION,
     DEFAULT_WORD_WIDTH,
     SimulationConfig,
@@ -48,6 +47,9 @@ EXIT_ERROR = 1
 EXIT_ATTACK_SUCCEEDED = 2
 
 SEED_ENV_VAR = "MSMS_SEED"
+
+# Largest run --dump-state accepts; a dump holds every op's log entries.
+DUMP_STATE_MAX_OPS = 20_000
 
 _STRATEGIES = tuple(s.value for s in Strategy)
 
@@ -184,7 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     compare = r.get("compare", _parse_bool, False)
     out_dir = r.get("out", str, None)
-    engine = r.get("engine", str, "auto")
+    engine = r.get("engine", str, "fast")
     dump_state = r.get("dump_state", _parse_bool, False)
     try:
         base_cfg = SimulationConfig(
@@ -200,12 +202,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (ValueError, KeyError) as e:
         raise CliError(str(e))
-    if engine not in ("auto", "fast", "store"):
+    if engine not in ("fast", "store"):
         raise CliError(f"unknown engine {engine!r}")
     if dump_state:
-        if base_cfg.n_ops > AUTO_STORE_MAX_OPS:
+        if base_cfg.n_ops > DUMP_STATE_MAX_OPS:
             raise CliError(
-                f"state dumps require the store engine; use --n <= {AUTO_STORE_MAX_OPS}"
+                f"state dumps require the store engine; use --n <= {DUMP_STATE_MAX_OPS}"
             )
         if out_dir is None:
             raise CliError("--dump-state needs --out DIR to write the state files into")
@@ -219,7 +221,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs: list[Path] = []
     table_rows: list[list[str]] = []
     totals_by_strategy: dict[str, dict] = {}
-    engine_used = None
     # Through the module, so a wrapper on simulation.draw_plan sees the call.
     plan = simulation.draw_plan(base_cfg)
     for strategy in strategies:
@@ -228,7 +229,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report, records = run_simulation(
             cfg, engine=engine, keep_records=out_path is not None, capture_store=sink, plan=plan
         )
-        engine_used = report.engine
         t = report.totals
         totals_by_strategy[strategy.value] = t.to_dict()
         table_rows.append(
@@ -259,7 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(
         f"n={base_cfg.n_ops} width={base_cfg.word_width} "
         f"p_priority={base_cfg.priority_fraction:g} codec={base_cfg.codec} "
-        f"seed={base_cfg.seed} engine={engine_used}"
+        f"seed={base_cfg.seed} engine={engine}"
     )
     headers = ["strategy", "total_steps", "priority_ops", "errors_injected", "detected", "miss_rate"]
     print(_format_table(headers, table_rows))
@@ -286,7 +286,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "tool": "msms",
                     "version": __version__,
                     "config": base_cfg.to_dict(),
-                    "engine": engine_used,
+                    "engine": engine,
                     "strategies": totals_by_strategy,
                     "enhanced_equals_none_plus_priority_extra": identity_holds,
                 },
@@ -513,8 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="let faults land in stored check bits as well as data",
     )
     sim.add_argument(
-        "--engine", choices=("auto", "fast", "store"),
-        help="auto picks the store-backed engine for small runs (default auto)",
+        "--engine", choices=("fast", "store"),
+        help="fast evaluates the plan; store drives every op through a real store, "
+        "as the fast engine's oracle (default fast; --dump-state uses store)",
     )
     sim.add_argument(
         "--dump-state", action="store_true", default=None,
@@ -527,12 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     cost = sub.add_parser("cost-model", help="print the theoretical time/space table")
+    # The technique defaults to the dup codec's multipliers.
+    dup = get_codec("dup").cost()
     cost.add_argument("--p-priority", type=float, default=DEFAULT_PRIORITY_FRACTION,
-                      help="priority fraction P (default 0.15)")
-    cost.add_argument("--time-mult", type=float, default=3.0,
-                      help="technique time multiplier (default 3)")
-    cost.add_argument("--space-mult", type=float, default=4.0,
-                      help="technique space multiplier (default 4)")
+                      help=f"priority fraction P (default {DEFAULT_PRIORITY_FRACTION})")
+    cost.add_argument("--time-mult", type=float, default=float(dup.time_multiplier),
+                      help=f"technique time multiplier (default {dup.time_multiplier})")
+    cost.add_argument("--space-mult", type=float, default=float(dup.space_multiplier),
+                      help=f"technique space multiplier (default {dup.space_multiplier})")
     cost.add_argument("--base-time", type=float, default=100.0,
                       help="baseline time units (default 100)")
     cost.add_argument("--base-space", type=float, default=100.0,

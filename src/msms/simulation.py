@@ -44,9 +44,6 @@ _CSV_CHUNK = 65536  # most rows RecordSet.write_csv assembles at once
 DEFAULT_PRIORITY_FRACTION = 0.15
 DEFAULT_WORD_WIDTH = 8
 
-# Largest run the store-backed engine picks up under engine="auto".
-AUTO_STORE_MAX_OPS = 20_000
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -278,7 +275,7 @@ def _flip_positions(config: SimulationConfig, plan: OperationPlan) -> np.ndarray
 
 def run_simulation(
     config: SimulationConfig,
-    engine: str = "auto",
+    engine: str = "fast",
     keep_records: bool = True,
     capture_store: Optional[list] = None,
     plan: Optional[OperationPlan] = None,
@@ -287,8 +284,8 @@ def run_simulation(
 
     ``engine="fast"`` evaluates the plan directly (codec verification
     still runs for every injected operation); ``engine="store"`` drives
-    every operation through a real protected store, which is exact but
-    only sensible for small runs.  Both produce identical records.
+    every operation through a real protected store, as the fast engine's
+    oracle and for state dumps.  Both produce identical records.
     With ``keep_records=False`` only the report is built.  Passing a
     list as ``capture_store`` appends the finished store after a
     store-engine run, for state dumps and audits.  A ``plan`` from
@@ -299,8 +296,6 @@ def run_simulation(
         plan = draw_plan(config)
     elif len(plan.words) != config.n_ops:
         raise ValueError(f"plan has {len(plan.words)} ops, config has n_ops={config.n_ops}")
-    if engine == "auto":
-        engine = "store" if config.n_ops <= AUTO_STORE_MAX_OPS else "fast"
     bits = _flip_positions(config, plan)
     if engine == "fast":
         if capture_store is not None:
@@ -427,7 +422,7 @@ def _run_store(
 
 def run_comparison(
     config: SimulationConfig,
-    engine: str = "auto",
+    engine: str = "fast",
     keep_records: bool = True,
 ) -> dict[Strategy, tuple[SimulationReport, Optional[RecordSet]]]:
     """Run all three strategies on the same seed (identical op stream).

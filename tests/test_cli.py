@@ -123,6 +123,26 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "not found" in err
 
+    def test_small_runs_default_to_the_fast_engine(self, tmp_path, capsys):
+        code, out, _ = run(SIM_SMALL + ["--compare", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[0].endswith(" engine=fast")
+        for name in ("report_none.json", "report_enhanced.json", "report_full.json", "comparison.json"):
+            assert json.loads((tmp_path / name).read_text())["engine"] == "fast", name
+
+    def test_engine_auto_flag_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "100", "--engine", "auto"])
+        assert exc.value.code == EXIT_ERROR
+
+    def test_engine_auto_in_a_config_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 100\nengine = auto\n")
+        code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "unknown engine 'auto'" in err
+
     def test_invalid_flag_value_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--strategy", "paranoid"])
@@ -222,12 +242,6 @@ class TestCostModel:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "cost-model"
 
-    def test_out_dir_is_created_with_its_parents(self, tmp_path, capsys):
-        out_dir = tmp_path / "a" / "b" / "c"
-        code, _, _ = run(["cost-model", "--out", str(out_dir)], capsys)
-        assert code == EXIT_OK
-        assert (out_dir / "cost_model.json").exists()
-
     def test_manifest_echoes_the_multipliers_as_floats(self, tmp_path, capsys):
         code, _, _ = run(["cost-model", "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
@@ -235,6 +249,7 @@ class TestCostModel:
         assert '"time_mult": 3.0,' in text
         assert '"space_mult": 4.0,' in text
         assert '"p_priority": 0.15,' in text
+        assert '"seed": 0,' in text
 
     def test_p_out_of_range_rejected(self, capsys):
         code, _, err = run(["cost-model", "--p-priority", "1.2"], capsys)
@@ -507,6 +522,35 @@ def test_records_without_check_zone_flag_match_golden_digests(tmp_path, capsys):
     )
     _, records = run_simulation(flipped, engine="fast")
     assert (records.error_bit >= flipped.word_width).any()
+
+
+# sha256 of the JSON artifacts of a default small comparison, written by
+# the fast engine.  They carry the package version.
+GOLDEN_JSON_ARTIFACTS = {
+    "report_none.json": "8df27519366f93de61a62a15a0298d3daaa308397de0dfdbac1c0a8545c30d9f",
+    "report_enhanced.json": "819b8c3472415e9579dae553e751cc968333ef12625194fb76aee2fc6b755b14",
+    "report_full.json": "06f9aaf33a921a3b4940188de20fc0758574d195e10f30c7f0c5d22dd9b002e2",
+    "comparison.json": "4aae40b015e6691c8255488440e37d9fad304aedbcbec1f382d64fa349cce5f5",
+}
+
+
+def test_json_artifacts_match_golden_digests(tmp_path, capsys):
+    code, _, _ = run(SIM_SMALL + ["--compare", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    for name, digest in GOLDEN_JSON_ARTIFACTS.items():
+        assert _sha256_file(tmp_path / name) == digest, name
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--n", "100"], ["cost-model"], ["attack", "--strategy", "full"]],
+    ids=lambda command: command[0],
+)
+def test_out_creates_missing_parent_directories(command, tmp_path, capsys):
+    out_dir = tmp_path / "a" / "b" / "c"
+    code, _, _ = run([*command, "--out", str(out_dir)], capsys)
+    assert code == EXIT_OK
+    assert (out_dir / "manifest.json").exists()
 
 
 class TestParser:

@@ -165,9 +165,15 @@ class TestEngines:
         # minutes, and a failing sweep would pay it for every shrink step.
         assert a.getvalue().split("\n") == b.getvalue().split("\n")
 
-    def test_auto_uses_the_store_for_small_runs(self):
-        report, _ = run_simulation(small_config(), engine="auto")
-        assert report.engine == "store"
+    def test_fast_is_the_default_engine(self):
+        report, _ = run_simulation(small_config(n_ops=50))
+        assert report.engine == "fast"
+        for report, _ in run_comparison(small_config(n_ops=50)).values():
+            assert report.engine == "fast"
+
+    def test_auto_is_an_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'auto'"):
+            run_simulation(small_config(), engine="auto")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
