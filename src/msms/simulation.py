@@ -9,10 +9,18 @@ report.  Everything is deterministic per seed.
 Randomness follows a fixed draw protocol so that runs replay exactly:
 first the word values, then the priority classification, then the
 injection events, and last the flipped bit positions (one draw per
-injected operation).  Because the protocol is fixed, the vectorized
-fast engine and the store-backed engine replay the same plan and
-produce byte-identical records; the store engine additionally drives
-every operation through a real :class:`~msms.store.ProtectedStore`.
+injected operation).  The words are the generator's bounded integer
+draws, which at a power-of-two range spend a fixed number of raw PCG64
+outputs and never reject; so the plan advances past them and rebuilds
+from the raw stream only the words a run reads
+(:meth:`OperationPlan.words_at`).  NEP 19 keeps a bit generator's raw
+stream stable across numpy releases but lets ``Generator`` methods
+change; the other draws still come from ``Generator`` methods, and the
+tests keep the ``Generator`` draw of every word as the reference.
+Because the protocol is fixed, the vectorized fast engine and the
+store-backed engine replay the same plan and produce byte-identical
+records; the store engine additionally drives every operation through a
+real :class:`~msms.store.ProtectedStore`.
 
 Step accounting: the baseline cost of any operation is B = ceil(w/2)
 steps (work done even with no detection, such as reading the word).  A
@@ -201,13 +209,72 @@ class OperationPlan:
     """Pre-drawn randomness for one run, in fixed protocol order.
 
     Nothing in a plan depends on the strategy, so one plan serves all
-    three; each run turns ``bit_draws`` into flip positions itself.
+    three; each run turns ``bit_draws`` into flip positions itself.  The
+    word values are not held: the plan keeps the generator state where
+    they begin, and ``words_at`` rebuilds the words a run reads.
     """
 
-    words: np.ndarray  # uint64 word values, one per op
-    priority: np.ndarray  # bool
+    priority: np.ndarray  # bool, one per op
     injected: np.ndarray  # ascending indices of the ops that suffer a flip
     bit_draws: np.ndarray  # float64 uniforms behind the flip positions, one per injected op
+    word_width: int
+    word_state: dict  # PCG64 state where the word draws begin
+    stream_ops: Optional[np.ndarray] = None  # op i draws word stream_ops[i]; None means word i
+
+    @property
+    def n_ops(self) -> int:
+        return len(self.priority)
+
+    def _ops(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and not 0 <= idx.min() <= idx.max() < self.n_ops:
+            raise IndexError(f"op index out of range for a plan of {self.n_ops} ops")
+        return idx
+
+    def words_at(self, idx) -> np.ndarray:
+        """The uint64 word values of ops ``idx``, rebuilt from the raw stream.
+
+        Above width 32 word ``k`` is the top ``word_width`` bits of raw
+        PCG64 output ``k``.  At or below it, output ``k // 2`` holds words
+        ``k`` and ``k + 1``, one per 32-bit half, low half first, and a
+        word is the top ``word_width`` bits of its half.  Each run of
+        consecutive outputs costs one ``advance`` and one ``random_raw``.
+        """
+        idx = self._ops(idx)
+        if self.stream_ops is not None:
+            idx = self.stream_ops[idx]
+        w = self.word_width
+        outputs, where = np.unique(idx if w > 32 else idx >> 1, return_inverse=True)
+        raw = np.empty(len(outputs), dtype=np.uint64)
+        starts = np.flatnonzero(np.diff(outputs, prepend=-2) != 1)
+        bitgen = np.random.PCG64()
+        for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(outputs)]):
+            bitgen.state = self.word_state
+            bitgen.advance(int(outputs[start]))
+            raw[start:stop] = bitgen.random_raw(stop - start)
+        raw = raw[where]
+        if w > 32:
+            return raw >> np.uint64(64 - w)
+        halves = np.where((idx & 1) == 1, raw >> np.uint64(32), raw & np.uint64(0xFFFFFFFF))
+        return halves >> np.uint64(32 - w)
+
+    def subset(self, idx) -> "OperationPlan":
+        """The plan of ops ``idx`` alone: its op ``j`` is op ``idx[j]`` here.
+
+        ``idx`` must be strictly ascending.  Injected ops outside it are
+        dropped together with their draws.
+        """
+        idx = self._ops(idx)
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("subset indices must be strictly ascending")
+        kept = np.isin(self.injected, idx)
+        return replace(
+            self,
+            priority=self.priority[idx],
+            injected=np.searchsorted(idx, self.injected[kept]),
+            bit_draws=self.bit_draws[kept],
+            stream_ops=idx if self.stream_ops is None else self.stream_ops[idx],
+        )
 
 
 def baseline_steps(word_width: int) -> int:
@@ -237,10 +304,25 @@ def _checked_mask(strategy: Strategy, priority: np.ndarray) -> np.ndarray:
 
 
 def draw_plan(config: SimulationConfig) -> OperationPlan:
-    """Draw all randomness for a run in the fixed protocol order."""
+    """Draw all randomness for a run in the fixed protocol order.
+
+    The words come first, but only where they begin is kept: the
+    generator advances past them and is left as drawing them would
+    leave it (see ``OperationPlan.words_at``).  After an odd number of
+    words of width <= 32 that includes the unused high half of the last
+    output, which the generator hands to its next 32-bit draw.
+    """
     rng = RandomSource(config.seed).generator
+    bitgen = rng.bit_generator
     n, w = config.n_ops, config.word_width
-    words = rng.integers(0, (1 << w) - 1, size=n, dtype=np.uint64, endpoint=True)
+    word_state = bitgen.state
+    if w > 32:
+        bitgen.advance(n)
+    else:
+        bitgen.advance(n // 2)
+        if n % 2:
+            spare = int(bitgen.random_raw()) >> 32
+            bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": spare}
     # The injection uniforms overwrite the priority ones in place: one n-float buffer, not two.
     if config.priority_mode == "quota":
         quota = round(config.priority_fraction * n)
@@ -253,7 +335,9 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
         rng.random(out=u)
     injected = np.flatnonzero(u < config.per_op_probability)
     bit_draws = rng.random(len(injected))
-    return OperationPlan(words=words, priority=priority, injected=injected, bit_draws=bit_draws)
+    return OperationPlan(
+        priority=priority, injected=injected, bit_draws=bit_draws, word_width=w, word_state=word_state
+    )
 
 
 def _flip_positions(config: SimulationConfig, plan: OperationPlan) -> np.ndarray:
@@ -294,8 +378,12 @@ def run_simulation(
     """
     if plan is None:
         plan = draw_plan(config)
-    elif len(plan.words) != config.n_ops:
-        raise ValueError(f"plan has {len(plan.words)} ops, config has n_ops={config.n_ops}")
+    elif plan.n_ops != config.n_ops:
+        raise ValueError(f"plan has {plan.n_ops} ops, config has n_ops={config.n_ops}")
+    elif plan.word_width != config.word_width:
+        raise ValueError(
+            f"plan has width {plan.word_width}, config has word_width={config.word_width}"
+        )
     bits = _flip_positions(config, plan)
     if engine == "fast":
         if capture_store is not None:
@@ -346,9 +434,10 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, k
     priority_count = int(np.count_nonzero(plan.priority))
     total_steps = n * b + int(np.count_nonzero(checked)) * (b + 2)
 
+    words = plan.words_at(plan.injected).tolist()
     detected_bits = [
-        _verify_injected_op(codec, Word(int(plan.words[i]), w), int(bit), bool(checked[i]), w)
-        for i, bit in zip(plan.injected, bits)
+        _verify_injected_op(codec, Word(word, w), int(bit), bool(checked[i]), w)
+        for i, word, bit in zip(plan.injected, words, bits)
     ]
 
     records = None
@@ -388,9 +477,10 @@ def _run_store(
     detected = np.zeros(n, dtype=bool)
     error_bit = np.full(n, -1, dtype=np.int16)
     flips = dict(zip(plan.injected.tolist(), bits.tolist()))
+    words = plan.words_at(np.arange(n)).tolist()
     for i in range(n):
         addr = Address(i // wpp, i % wpp)
-        word = Word(int(plan.words[i]), w)
+        word = Word(words[i], w)
         is_priority = bool(priority[i])
         store.store_write(addr, word, priority=is_priority)
         bit = flips.get(i)

@@ -114,6 +114,10 @@ class TestBerger:
     def test_verify_accepts_the_original(self, w):
         assert berger.verify(w, berger.encode(w)).valid
 
+    def test_cost_is_one_counting_pass(self):
+        cost = berger.cost()
+        assert (cost.time_multiplier, cost.space_multiplier) == (1, 1)
+
 
 class TestSingleFlipErrorSets:
     def test_width_five_example(self):

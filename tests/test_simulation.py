@@ -26,7 +26,6 @@ from msms import (
     theoretical_cost,
 )
 from msms.cli import main
-from msms.simulation import OperationPlan
 
 
 def small_config(**kwargs):
@@ -104,7 +103,8 @@ class TestConfig:
 class TestPlan:
     def test_same_seed_same_plan(self):
         a, b = draw_plan(small_config()), draw_plan(small_config())
-        assert np.array_equal(a.words, b.words)
+        ops = np.arange(a.n_ops)
+        assert np.array_equal(a.words_at(ops), b.words_at(ops))
         assert np.array_equal(a.priority, b.priority)
         assert np.array_equal(a.injected, b.injected)
         assert np.array_equal(a.bit_draws, b.bit_draws)
@@ -112,7 +112,8 @@ class TestPlan:
     def test_different_seed_different_plan(self):
         a = draw_plan(small_config(seed=1))
         b = draw_plan(small_config(seed=2))
-        assert not np.array_equal(a.words, b.words)
+        ops = np.arange(a.n_ops)
+        assert not np.array_equal(a.words_at(ops), b.words_at(ops))
 
     def test_quota_mode_hits_the_exact_priority_count(self):
         cfg = small_config(n_ops=1000, priority_fraction=0.15, priority_mode="quota")
@@ -136,6 +137,84 @@ class TestPlan:
         # duplication stores 16 check bits at width 8: domain is 24
         assert records.error_bit.max() >= 8
         assert records.error_bit.max() < 24
+
+
+def _generator_plan(config):
+    """``(words, priority, injected, bit_draws)`` as numpy's ``Generator`` draws them.
+
+    This is the draw protocol with every word drawn by
+    ``Generator.integers``, kept as the reference for ``draw_plan``,
+    which skips the words and rebuilds them from the raw PCG64 stream.
+    NEP 19 keeps a bit generator's stream stable across numpy releases
+    but lets ``Generator`` methods change, so a numpy upgrade that
+    changes these draws fails here first.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    n, w = config.n_ops, config.word_width
+    words = rng.integers(0, (1 << w) - 1, size=n, dtype=np.uint64, endpoint=True)
+    if config.priority_mode == "quota":
+        priority = np.zeros(n, dtype=bool)
+        priority[rng.permutation(n)[: round(config.priority_fraction * n)]] = True
+        u = rng.random(n)
+    else:
+        priority = rng.random(n) < config.priority_fraction
+        u = rng.random(n)
+    injected = np.flatnonzero(u < config.per_op_probability)
+    return words, priority, injected, rng.random(len(injected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_ops=st.integers(1, 3000),
+    word_width=st.integers(1, 64),
+    priority_mode=st.sampled_from(["bernoulli", "quota"]),
+    per_op_probability=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+    picks=st.lists(st.integers(0, 2**32), max_size=40),
+)
+@example(n_ops=1, word_width=1, priority_mode="bernoulli", per_op_probability=0.3, seed=0, picks=[0])
+@example(n_ops=7, word_width=8, priority_mode="quota", per_op_probability=0.3, seed=0, picks=[6, 5])
+@example(n_ops=3, word_width=33, priority_mode="quota", per_op_probability=1.0, seed=1, picks=[2])
+def test_plan_equals_the_generator_draws(picks, **fields):
+    cfg = SimulationConfig(**fields)
+    words, priority, injected, bit_draws = _generator_plan(cfg)
+    plan = draw_plan(cfg)
+    assert plan.n_ops == cfg.n_ops
+    assert np.array_equal(plan.priority, priority)
+    assert np.array_equal(plan.injected, injected)
+    assert np.array_equal(plan.bit_draws, bit_draws)
+    assert np.array_equal(plan.words_at(np.arange(cfg.n_ops)), words)
+    # Any order and repeats; then a sub-plan of the distinct picks.
+    ops = np.array(picks, dtype=np.int64) % cfg.n_ops
+    assert np.array_equal(plan.words_at(ops), words[ops])
+    idx = np.unique(ops)
+    sub = plan.subset(idx)
+    assert np.array_equal(sub.words_at(np.arange(len(idx))), words[idx])
+    assert np.array_equal(sub.priority, priority[idx])
+    kept = np.isin(injected, idx)
+    assert np.array_equal(idx[sub.injected], injected[kept])
+    assert np.array_equal(sub.bit_draws, bit_draws[kept])
+    # A sub-plan's own subset still reads the original stream.
+    assert np.array_equal(sub.subset(np.arange(1, len(idx))).words_at(np.arange(len(idx) - 1)), words[idx[1:]])
+
+
+class TestPlanWords:
+    def test_an_index_outside_the_plan_is_rejected(self):
+        plan = draw_plan(small_config(n_ops=10))
+        for ops in ([10], [-1], [0, 10]):
+            with pytest.raises(IndexError, match="plan of 10 ops"):
+                plan.words_at(ops)
+        assert plan.words_at([]).size == 0
+
+    @pytest.mark.parametrize("idx", [[3, 2], [2, 2], [-1, 0]])
+    def test_subset_indices_must_ascend_within_the_plan(self, idx):
+        with pytest.raises((ValueError, IndexError)):
+            draw_plan(small_config(n_ops=10)).subset(idx)
+
+    def test_a_plan_for_another_width_is_rejected(self):
+        plan = draw_plan(small_config(word_width=16))
+        with pytest.raises(ValueError, match="word_width=8"):
+            run_simulation(small_config(), plan=plan)
 
 
 class TestEngines:
@@ -233,12 +312,7 @@ def test_store_engine_replays_full_scale_runs(word_width, priority_mode, seed):
     plan = draw_plan(base)
     sample = np.random.default_rng(seed).integers(0, base.n_ops, ORACLE_SAMPLE)
     idx = np.union1d(plan.injected, sample)
-    sub = OperationPlan(
-        words=plan.words[idx],
-        priority=plan.priority[idx],
-        injected=np.searchsorted(idx, plan.injected),
-        bit_draws=plan.bit_draws,
-    )
+    sub = plan.subset(idx)
     assert len(plan.injected) > 0
     check_zone_flips = 0
     for codec in codec_names():
@@ -363,7 +437,10 @@ class _HashSink:
 # writer.  Full scale seed 0 matches the benchmark's golden digests; the
 # check-zone config crosses a 65,536-row chunk boundary and the 5->6 digit
 # op_id boundary, with flipped check bits at positions >= 64.  The quota
-# config pins the permutation branch of draw_plan.
+# configs pin the permutation branch of draw_plan.  quota-odd-w8 has an odd
+# n at a width <= 32, so its permutation starts on the spare high half of
+# the last word's output; its digests were recorded while draw_plan still
+# drew every word with Generator.integers.
 GOLDEN_CSV = {
     "full-scale-seed-0": (
         SimulationConfig(seed=0),
@@ -393,6 +470,14 @@ GOLDEN_CSV = {
             "none": "1008eb53c7822673cf6ba7e69e92c533723082afe0393aba85ebf911d8f934c8",
             "enhanced": "34594c17a6969d610264b3242a11dcd5b834439029a23ae0e7177b56b941c836",
             "full": "0cde34ad4eb222fa25c7e52d19981b8e74a2ba02da89ae1ae2a05b1b382609f6",
+        },
+    ),
+    "quota-odd-w8": (
+        SimulationConfig(n_ops=100_051, priority_mode="quota", per_op_probability=0.01, seed=5),
+        {
+            "none": "edf0f95bbaa0f1faec19048a0e023a6c3f6f8787fcd767658931c0a63da95005",
+            "enhanced": "72138154ba04ccdd9469b2da05108a41271567eaff73489d18d901e11b522286",
+            "full": "601fd1db2a9ccac37c9609c0177539fad3971cc37644ef7d4cc8268eaa069898",
         },
     ),
 }

@@ -72,6 +72,21 @@ class TestReadWrite:
         with pytest.raises(ValueError, match=rf"word_width must be in \[1, {MAX_WIDTH}\]"):
             make_store(word_width=width)
 
+    @pytest.mark.parametrize("bit", [-1, 8])
+    def test_data_bit_outside_the_width_rejected(self, bit):
+        store = make_store(word_width=8)
+        store.store_write(Address(0, 0), Word(1, 8))
+        with pytest.raises(IndexError, match=f"bit {bit} out of range for width 8"):
+            store.corrupt_data_bit(Address(0, 0), bit)
+
+    @pytest.mark.parametrize("offset", [-1, 8])
+    def test_offset_outside_the_page_rejected(self, offset):
+        store = make_store(words_per_page=8)
+        with pytest.raises(ValueError, match="out of range"):
+            store.store_write(Address(0, offset), Word(1, 8))
+        with pytest.raises(ValueError, match="out of range"):
+            store.store_read(Address(0, offset))
+
     def test_corrupted_priority_word_reads_invalid(self):
         store = make_store()
         store.store_write(Address(0, 0), Word(0b1011, 8), priority=True)
