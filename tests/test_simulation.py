@@ -174,6 +174,7 @@ def _generator_plan(config):
 )
 @example(n_ops=1, word_width=1, priority_mode="bernoulli", per_op_probability=0.3, seed=0, picks=[0])
 @example(n_ops=7, word_width=8, priority_mode="quota", per_op_probability=0.3, seed=0, picks=[6, 5])
+@example(n_ops=5, word_width=32, priority_mode="quota", per_op_probability=1.0, seed=1, picks=[4, 1])
 @example(n_ops=3, word_width=33, priority_mode="quota", per_op_probability=1.0, seed=1, picks=[2])
 def test_plan_equals_the_generator_draws(picks, **fields):
     cfg = SimulationConfig(**fields)
@@ -195,7 +196,8 @@ def test_plan_equals_the_generator_draws(picks, **fields):
     assert np.array_equal(idx[sub.injected], injected[kept])
     assert np.array_equal(sub.bit_draws, bit_draws[kept])
     # A sub-plan's own subset still reads the original stream.
-    assert np.array_equal(sub.subset(np.arange(1, len(idx))).words_at(np.arange(len(idx) - 1)), words[idx[1:]])
+    inner = sub.subset(np.arange(1, len(idx)))
+    assert np.array_equal(inner.words_at(np.arange(inner.n_ops)), words[idx[1:]])
 
 
 class TestPlanWords:
