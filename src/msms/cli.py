@@ -79,11 +79,11 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def load_config_file(path: Path) -> dict[str, str]:
-    """Read flat key=value settings; blank lines and # comments skipped."""
+def load_config_file(path: Path) -> dict[str, tuple[int, str]]:
+    """Read flat key=value settings as key -> (line, value); # comments skipped."""
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    out: dict[str, str] = {}
+    out: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -91,16 +91,23 @@ def load_config_file(path: Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        out[key.strip().lower().replace("-", "_")] = value.strip()
+        out[key.strip().lower().replace("-", "_")] = (lineno, value.strip())
     return out
 
 
 class _Resolver:
-    """Flag > config file > default, per setting."""
+    """Flag > config file > default, per setting; a file sets only flagged keys."""
 
-    def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file_cfg = file_cfg
+        self.file_cfg: dict[str, str] = {}
+        if args.config:
+            path = Path(args.config)
+            flags = set(vars(args)) - {"command", "func", "config"}
+            for key, (lineno, value) in load_config_file(path).items():
+                if key not in flags:
+                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+                self.file_cfg[key] = value
 
     def get(self, key: str, cast: Callable[[str], Any], default: Any) -> Any:
         flag = getattr(self.args, key, None)
@@ -181,8 +188,7 @@ def _fmt_miss(miss: Optional[float]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
-    file_cfg = load_config_file(Path(args.config)) if args.config else {}
-    r = _Resolver(args, file_cfg)
+    r = _Resolver(args)
 
     compare = r.get("compare", _parse_bool, False)
     out_dir = r.get("out", str, None)
@@ -361,8 +367,7 @@ VICTIM_WORDS = 8  # words written into the victim page before the drill
 
 def cmd_attack(args: argparse.Namespace) -> int:
     started = _now()
-    file_cfg = load_config_file(Path(args.config)) if args.config else {}
-    r = _Resolver(args, file_cfg)
+    r = _Resolver(args)
 
     strategy = r.get("strategy", str, Strategy.ENHANCED.value)
     codec = r.get("codec", str, "parity")
@@ -398,7 +403,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             priority=priority_victim and offset == victim_addr.offset,
         )
     if protect_page:
-        store.protect_page(0)
+        store.protect_page(victim_addr.page)
 
     outcome = flip_feng_shui_scenario(
         store, content, victim_addr, rng=rng, force_merge=force_merge

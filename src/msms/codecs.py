@@ -2,8 +2,10 @@
 
 A codec turns a word into check data on write (``encode``) and compares
 recomputed check data against the stored copy on read (``verify``).
-Detection only; nothing here corrects errors.  Each codec also carries a
-:class:`CostDescriptor` so the cost model can price the technique.
+Check data is an integer of ``check_bits(width)`` bits, the codec's only
+definition of its size.  Detection only; nothing here corrects errors.
+Each codec also carries a :class:`CostDescriptor` so the cost model can
+price the technique.
 
 Built-in codecs:
 
@@ -23,7 +25,6 @@ by one of these names.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -52,35 +53,33 @@ class CodecMismatchError(ValueError):
 class CodecCheck:
     """Codec-produced check data, stored in the isolated check zone.
 
-    ``payload`` is a bit tuple rendered most-significant-first; its
-    length is codec-dependent (1 for parity, ceil(log2(width+1)) for
-    berger, 2*width for duplication).
+    ``value`` is an unsigned integer of ``size`` bits, bit 0 the least
+    significant; ``size`` is the producing codec's ``check_bits(width)``.
     """
 
     codec_id: CodecId
-    payload: tuple[int, ...]
+    value: int
+    size: int
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.payload):
-            raise ValueError("payload must contain only 0/1 bits")
+        if not 0 <= self.value < 1 << self.size:
+            raise ValueError(f"check value {self.value} does not fit in {self.size} bits")
 
     @property
     def payload_str(self) -> str:
-        return "".join(str(b) for b in self.payload)
+        """The check's bits, most significant first, as state dumps write them."""
+        return format(self.value, f"0{self.size}b") if self.size else ""
 
     def flip_payload_bit(self, pos: int) -> "CodecCheck":
-        """Payload with one bit inverted; position 0 is least significant."""
-        if not 0 <= pos < len(self.payload):
-            raise IndexError(f"check bit {pos} out of range for payload length {len(self.payload)}")
-        bits = list(self.payload)
-        bits[len(bits) - 1 - pos] ^= 1
-        return CodecCheck(self.codec_id, tuple(bits))
+        """The check with one bit inverted; position 0 is least significant."""
+        if not 0 <= pos < self.size:
+            raise IndexError(f"check bit {pos} out of range for a {self.size}-bit check")
+        return CodecCheck(self.codec_id, self.value ^ 1 << pos, self.size)
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     valid: bool
-    codec_id: CodecId
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,11 @@ class CostDescriptor:
 
 
 class Codec:
-    """Interface every codec implements.  Stateless and shareable."""
+    """Interface every codec implements.  Stateless and shareable.
+
+    Each ``encode`` sizes its check through :meth:`_check`, and each
+    ``verify`` compares through :meth:`_verify`.
+    """
 
     codec_id: CodecId
 
@@ -117,11 +120,18 @@ class Codec:
     def cost(self) -> CostDescriptor:
         raise NotImplementedError
 
-    def _require_own(self, check: CodecCheck) -> None:
+    def _check(self, word: Word, value: int) -> CodecCheck:
+        return CodecCheck(self.codec_id, value, self.check_bits(word.width))
+
+    def _verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         if check.codec_id is not self.codec_id:
             raise CodecMismatchError(
                 f"{self.codec_id.value} codec given a {check.codec_id.value} check"
             )
+        want = self.encode(word)
+        if check.size != want.size:
+            raise ValueError(f"a width-{word.width} check has {want.size} bits, not {check.size}")
+        return VerifyResult(check.value == want.value)
 
 
 class ParityCodec(Codec):
@@ -130,11 +140,10 @@ class ParityCodec(Codec):
     codec_id = CodecId.PARITY
 
     def encode(self, word: Word) -> CodecCheck:
-        return CodecCheck(self.codec_id, (word.ones() & 1,))
+        return self._check(word, word.ones() & 1)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
-        self._require_own(check)
-        return VerifyResult(self.encode(word).payload == check.payload, self.codec_id)
+        return self._verify(word, check)
 
     def check_bits(self, width: int) -> int:
         return 1
@@ -144,7 +153,7 @@ class ParityCodec(Codec):
 
 
 class BergerCodec(Codec):
-    """Stores the zero-bit count in ceil(log2(width+1)) bits, MSB first.
+    """Stores the zero-bit count in ceil(log2(width+1)) bits.
 
     Any single flip moves the zero count by exactly one, and any error
     that only flips bits in one direction moves it monotonically, so all
@@ -154,17 +163,13 @@ class BergerCodec(Codec):
     codec_id = CodecId.BERGER
 
     def encode(self, word: Word) -> CodecCheck:
-        k = self.check_bits(word.width)
-        count = word.zeros()
-        payload = tuple((count >> (k - 1 - i)) & 1 for i in range(k))
-        return CodecCheck(self.codec_id, payload)
+        return self._check(word, word.zeros())
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
-        self._require_own(check)
-        return VerifyResult(self.encode(word).payload == check.payload, self.codec_id)
+        return self._verify(word, check)
 
     def check_bits(self, width: int) -> int:
-        return max(1, math.ceil(math.log2(width + 1)))
+        return width.bit_length()  # ceil(log2(width + 1))
 
     def cost(self) -> CostDescriptor:
         return CostDescriptor(1, 1)
@@ -182,14 +187,10 @@ class DuplicationCodec(Codec):
     codec_id = CodecId.DUPLICATION
 
     def encode(self, word: Word) -> CodecCheck:
-        return CodecCheck(self.codec_id, word.bits[::-1] * 2)
+        return self._check(word, word.value << word.width | word.value)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
-        self._require_own(check)
-        if len(check.payload) % word.width:
-            raise ValueError("duplication payload length is not a multiple of the word width")
-        copies = len(check.payload) // word.width
-        return VerifyResult(check.payload == word.bits[::-1] * copies, self.codec_id)
+        return self._verify(word, check)
 
     def check_bits(self, width: int) -> int:
         return 2 * width
@@ -204,11 +205,10 @@ class NullCodec(Codec):
     codec_id = CodecId.NONE
 
     def encode(self, word: Word) -> CodecCheck:
-        return CodecCheck(self.codec_id, ())
+        return self._check(word, 0)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
-        self._require_own(check)
-        return VerifyResult(True, self.codec_id)
+        return self._verify(word, check)
 
     def check_bits(self, width: int) -> int:
         return 0
@@ -218,10 +218,8 @@ class NullCodec(Codec):
 
 
 _REGISTRY: dict[str, Codec] = {
-    "parity": ParityCodec(),
-    "berger": BergerCodec(),
-    "dup": DuplicationCodec(),
-    "none": NullCodec(),
+    codec.codec_id.value: codec
+    for codec in (ParityCodec(), BergerCodec(), DuplicationCodec(), NullCodec())
 }
 
 

@@ -57,19 +57,18 @@ def flip_feng_shui_scenario(
     store: ProtectedStore,
     attacker_page_content: Sequence[Word],
     victim_addr: Address,
-    attacker_page: Optional[int] = None,
     rng: Optional[RandomSource] = None,
     force_merge: bool = False,
 ) -> ScenarioOutcome:
     """Run the dedup-then-hammer attack against a written victim page.
 
     The attacker writes ``attacker_page_content`` into its own virtual
-    page (non-priority, through the monitor like any process), a
-    deduplication scan runs, and if the attacker's page merged with the
-    victim's the attack flips one bit of the victim's word inside the
-    now-shared physical page.  The victim then reads.  All failure modes
-    are legitimate outcomes: a refused merge, a detected flip, or an
-    undetected corruption.
+    page, the one past the highest mapped page (non-priority, through
+    the monitor like any process), a deduplication scan runs, and if the
+    attacker's page merged with the victim's the attack flips one bit of
+    the victim's word inside the now-shared physical page.  The victim
+    then reads.  All failure modes are legitimate outcomes: a refused
+    merge, a detected flip, or an undetected corruption.
 
     ``force_merge`` models an attacker who reaches the victim's physical
     page through some other co-location route: the flip is applied even
@@ -77,8 +76,7 @@ def flip_feng_shui_scenario(
     """
     if store.physical_page_of(victim_addr.page) is None:
         raise ValueError(f"victim page {victim_addr.page} was never written")
-    if attacker_page is None:
-        attacker_page = max(vp for vp in store.page_table_view()) + 1
+    attacker_page = max(store.page_table_view()) + 1
 
     for offset, word in enumerate(attacker_page_content):
         store.store_write(Address(attacker_page, offset), word, priority=False)

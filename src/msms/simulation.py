@@ -632,14 +632,13 @@ class ComplexityAuditResult:
     check_bits_constant: bool
 
 
-def complexity_audit(
-    widths: tuple[int, ...] = (8, 16, 32),
-    strategy: Union[Strategy, str] = Strategy.FULL,
-    codec: str = "parity",
-    n_ops: int = 256,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> ComplexityAuditResult:
+# The audit checks every op (strategy full, default codec and seed), so
+# its step counts do not depend on the plan.
+AUDIT_N_OPS = 256
+AUDIT_TOLERANCE = 1e-9
+
+
+def complexity_audit(widths: tuple[int, ...] = (8, 16, 32)) -> ComplexityAuditResult:
     """Check that per-op steps grow linearly in width at constant check size.
 
     Runs the simulation at each width, fits mean steps per operation
@@ -652,18 +651,11 @@ def complexity_audit(
         raise ValueError("complexity audit needs runs at >= 3 word widths")
     per_op = []
     bits = []
-    codec_obj = get_codec(codec)
     for w in widths:
-        cfg = SimulationConfig(
-            n_ops=n_ops,
-            word_width=w,
-            strategy=Strategy(strategy),
-            codec=codec,
-            seed=seed,
-        )
+        cfg = SimulationConfig(n_ops=AUDIT_N_OPS, word_width=w, strategy=Strategy.FULL)
         report, _ = run_simulation(cfg, engine="fast", keep_records=False)
         per_op.append(report.totals.total_steps / report.totals.ops)
-        bits.append(codec_obj.check_bits(w))
+        bits.append(get_codec(cfg.codec).check_bits(w))
     slope, intercept = np.polyfit(widths, per_op, 1)
     fitted = slope * np.asarray(widths) + intercept
     max_residual = float(np.max(np.abs(fitted - np.asarray(per_op))))
@@ -673,7 +665,7 @@ def complexity_audit(
         slope=float(slope),
         intercept=float(intercept),
         max_residual=max_residual,
-        steps_linear=max_residual <= tolerance,
+        steps_linear=max_residual <= AUDIT_TOLERANCE,
         check_bits=tuple(bits),
         check_bits_constant=len(set(bits)) == 1,
     )

@@ -46,11 +46,6 @@ class Word:
     def zero(cls, width: int = 8) -> "Word":
         return cls(0, width)
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Bits as a tuple indexed 0 (LSB) .. width-1 (MSB)."""
-        return tuple((self.value >> i) & 1 for i in range(self.width))
-
     def bit(self, pos: int) -> int:
         _check_pos(pos, self.width)
         return (self.value >> pos) & 1

@@ -154,8 +154,8 @@ def _store_walk(codec, strategy, width, words_per_page, seed, n_ops):
         else:
             addr = rng.choice(written)
             check = store.check_for(addr)
-            if check is not None and check.payload:
-                store.corrupt_check_bit(addr, rng.randrange(len(check.payload)))
+            if check is not None and check.size:
+                store.corrupt_check_bit(addr, rng.randrange(check.size))
     return store
 
 

@@ -28,6 +28,7 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "strategy" in out and "total_steps" in out and "miss_rate" in out
         assert "enhanced" in out
+        assert len(out.splitlines()) == 3  # one strategy's row without --compare
 
     def test_compare_lists_all_three_strategies(self, capsys):
         code, out, _ = run(SIM_SMALL + ["--compare"], capsys)
@@ -118,6 +119,15 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "run.cfg:3:" in err
 
+    def test_config_file_unknown_key_exits_one(self, tmp_path, capsys):
+        # A misspelt key must not leave the run at the default width.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 900\n# comment\nwidht = 16\n")
+        code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert f"{cfg}:3: unknown key 'widht'" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(["simulate", "--config", "/no/such/file.cfg"], capsys)
         assert code == EXIT_ERROR
@@ -190,6 +200,9 @@ class TestSimulate:
         run(["simulate", "--n", "500", "--out", str(out_dir)], capsys)
         report = json.loads((out_dir / "report_enhanced.json").read_text())
         assert report["config"]["seed"] == 77
+        monkeypatch.delenv("MSMS_SEED")
+        _, out, _ = run(["simulate", "--n", "500"], capsys)
+        assert " seed=0 " in out.splitlines()[0]
 
     def test_seed_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MSMS_SEED", "77")
@@ -230,6 +243,7 @@ class TestCostModel:
     def test_json_output(self, capsys):
         code, out, _ = run(["cost-model", "--json"], capsys)
         assert code == EXIT_OK
+        assert out.startswith('{\n  "tool": "msms",\n')
         payload = json.loads(out)
         assert payload["rows"][2]["time_units"] == 145
         assert payload["rows"][2]["space_units"] == 160
@@ -309,14 +323,33 @@ class TestAttack:
         assert out == ""
         assert "word_width must be in [1, 64]" in err
 
+    def test_config_file_sets_only_attack_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "atk.cfg"
+        cfg.write_text(
+            "strategy = none\nwidth = 16\nseed = 3\npriority-victim = yes\nforce-merge = off\n"
+        )
+        code, out, _ = run(["attack", "--config", str(cfg)], capsys)
+        assert code == EXIT_ATTACK_SUCCEEDED
+        scenario = json.loads(out)["scenario"]
+        assert (scenario["strategy"], scenario["width"], scenario["seed"]) == ("none", 16, 3)
+        assert (scenario["priority_victim"], scenario["force_merge"]) == (True, False)
+        # simulate's --n is no attack flag, so the drill must not run without it.
+        cfg.write_text("strategy = none\nn = 5\n")
+        code, out, err = run(["attack", "--config", str(cfg)], capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert f"{cfg}:2: unknown key 'n'" in err
+
     def test_deterministic_outcome_json(self, capsys):
         _, out_a, _ = run(["attack", "--seed", "9"], capsys)
         _, out_b, _ = run(["attack", "--seed", "9"], capsys)
         assert out_a == out_b
 
     def test_out_dir_state_is_auditable(self, tmp_path, capsys):
-        out_dir = tmp_path / "atk"
-        run(["attack", "--strategy", "full", "--seed", "3", "--out", str(out_dir)], capsys)
+        out_dir = tmp_path / "runs" / "atk"  # missing parents are created
+        argv = ["attack", "--strategy", "full", "--seed", "3", "--out", str(out_dir)]
+        for _ in range(2):  # and a rerun writes into the existing directory
+            assert run(argv, capsys)[0] == EXIT_OK
         assert json.loads((out_dir / "attack_outcome.json").read_text())["defended"] is True
         code, out, _ = run(["audit", str(out_dir / "state.json")], capsys)
         assert code == EXIT_OK

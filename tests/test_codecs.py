@@ -10,6 +10,7 @@ from msms import (
     CodecCheck,
     CodecId,
     CodecMismatchError,
+    CostDescriptor,
     Word,
     codec_names,
     flip_bit,
@@ -32,9 +33,9 @@ def words(max_width: int = 12):
 
 class TestParity:
     def test_check_is_the_ones_count_parity(self):
-        assert parity.encode(Word.from_string("10110")).payload == (1,)
-        assert parity.encode(Word.from_string("1111")).payload == (0,)
-        assert parity.encode(Word.zero(8)).payload == (0,)
+        assert parity.encode(Word.from_string("10110")).payload_str == "1"
+        assert parity.encode(Word.from_string("1111")).payload_str == "0"
+        assert parity.encode(Word.zero(8)).payload_str == "0"
 
     def test_verify_accepts_the_original(self):
         w = Word.from_string("10110")
@@ -157,7 +158,7 @@ class TestDuplication:
     @given(words(8), st.data())
     def test_any_single_copy_flip_detected(self, w, data):
         check = dup.encode(w)
-        pos = data.draw(st.integers(0, len(check.payload) - 1))
+        pos = data.draw(st.integers(0, check.size - 1))
         assert not dup.verify(w, check.flip_payload_bit(pos)).valid
 
     def test_cost_carries_the_cited_multipliers(self):
@@ -174,7 +175,9 @@ class TestNullCodec:
         assert codec.verify(w, codec.encode(w)).valid
 
     def test_costs_nothing_extra(self):
+        cost = get_codec("none").cost()
         assert get_codec("none").check_bits(8) == 0
+        assert (cost.time_multiplier, cost.space_multiplier) == (1, 1)
 
 
 class TestRegistryAndChecks:
@@ -189,12 +192,41 @@ class TestRegistryAndChecks:
         w = Word.from_string("10110")
         with pytest.raises(CodecMismatchError):
             parity.verify(w, berger.encode(w))
+        # A check one bit longer than check_bits(width) is not this
+        # codec's check for the word either, whatever its value.
+        for name, width in itertools.product(codec_names(), range(1, 65)):
+            codec, w = get_codec(name), Word((1 << width) - 1, width)
+            check = codec.encode(w)
+            with pytest.raises(ValueError, match="bits, not"):
+                codec.verify(w, CodecCheck(check.codec_id, check.value, check.size + 1))
 
     def test_check_payload_flip_position_counts_from_lsb(self):
-        check = CodecCheck(CodecId.BERGER, (0, 1, 0))
-        assert check.flip_payload_bit(0).payload == (0, 1, 1)
-        assert check.flip_payload_bit(2).payload == (1, 1, 0)
+        check = CodecCheck(CodecId.BERGER, 0b010, 3)
+        assert check.flip_payload_bit(0).payload_str == "011"
+        assert check.flip_payload_bit(2).payload_str == "110"
+
+    def test_check_is_an_immutable_value_that_fits_its_size(self):
+        check = CodecCheck(CodecId.BERGER, 0b111, 3)
+        assert check.payload_str == "111"
+        with pytest.raises(AttributeError):
+            check.value = 0  # stored checks change only through flip_payload_bit
+        for value, size in ((0b1000, 3), (1, 0), (-1, 3), (0, -1)):
+            with pytest.raises(ValueError):
+                CodecCheck(CodecId.BERGER, value, size)
+
+    def test_cost_multipliers_below_one_rejected(self):
+        for time_mult, space_mult in ((0.5, 1), (1, 0.5)):
+            with pytest.raises(ValueError, match=">= 1"):
+                CostDescriptor(time_mult, space_mult)
 
     def test_payload_flip_out_of_range_rejected(self):
         with pytest.raises(IndexError):
-            CodecCheck(CodecId.PARITY, (1,)).flip_payload_bit(1)
+            CodecCheck(CodecId.PARITY, 1, 1).flip_payload_bit(1)
+        # check_bits is a check's only size: the dump text holds that many
+        # bits, and the first position past them is out of range.
+        for name, width in itertools.product(codec_names(), range(1, 65)):
+            codec = get_codec(name)
+            check = codec.encode(Word((1 << width) - 1, width))
+            assert len(check.payload_str) == codec.check_bits(width) == check.size
+            with pytest.raises(IndexError):
+                check.flip_payload_bit(codec.check_bits(width))

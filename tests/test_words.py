@@ -23,7 +23,6 @@ class TestWord:
     def test_bit_positions_count_from_lsb(self):
         w = Word.from_string("10110")
         assert [w.bit(i) for i in range(5)] == [0, 1, 1, 0, 1]
-        assert w.bits == (0, 1, 1, 0, 1)
 
     def test_ones_and_zeros_partition_the_width(self):
         w = Word.from_string("10110")
