@@ -9,7 +9,9 @@ report.  Everything is deterministic per seed.
 Randomness follows a fixed draw protocol so that runs replay exactly:
 first the word values, then the priority classification, then the
 injection events, and last the flipped bit positions (one draw per
-injected operation).  The words are the generator's bounded integer
+injected operation).  The priority and injection uniforms are drawn
+65,536 at a time into one reused buffer (``_DRAW_CHUNK``), so no n-long
+float array is held.  The words are the generator's bounded integer
 draws, which at a power-of-two range spend a fixed number of raw PCG64
 outputs and never reject; so the plan advances past them and rebuilds
 from the raw stream only the words a run reads
@@ -20,7 +22,10 @@ tests keep the ``Generator`` draw of every word as the reference.
 Because the protocol is fixed, the vectorized fast engine and the
 store-backed engine replay the same plan and produce byte-identical
 records; the store engine additionally drives every operation through a
-real :class:`~msms.store.ProtectedStore`.
+real :class:`~msms.store.ProtectedStore`.  A plan counts its priority ops
+once (:attr:`OperationPlan.priority_count`), and the fast engine takes
+the checked count from the strategy, so without records it touches only
+the injected ops.
 
 Step accounting: the baseline cost of any operation is B = ceil(w/2)
 steps (work done even with no detection, such as reading the word).  A
@@ -36,7 +41,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import IO, Optional, Union
+from functools import cached_property
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
@@ -48,6 +54,7 @@ from .words import MAX_WIDTH, RandomSource, Word, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 _CSV_CHUNK = 65536  # most rows RecordSet.write_csv assembles at once
+_DRAW_CHUNK = 65536  # most uniforms draw_plan holds at once
 
 DEFAULT_PRIORITY_FRACTION = 0.15
 DEFAULT_WORD_WIDTH = 8
@@ -225,6 +232,10 @@ class OperationPlan:
     def n_ops(self) -> int:
         return len(self.priority)
 
+    @cached_property
+    def priority_count(self) -> int:
+        return int(np.count_nonzero(self.priority))
+
     def _ops(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and not 0 <= idx.min() <= idx.max() < self.n_ops:
@@ -303,6 +314,21 @@ def _checked_mask(strategy: Strategy, priority: np.ndarray) -> np.ndarray:
     return np.zeros_like(priority)
 
 
+def _uniforms(
+    rng: np.random.Generator, n: int, buf: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, u)`` over the next ``n`` uniforms of ``rng``, in order.
+
+    ``u`` holds uniforms ``start`` up to ``start + len(u)`` and is a view
+    of ``buf``, which the next chunk overwrites.  Drawn ``len(buf)`` at a
+    time, the values are those of one ``rng.random(n)``.
+    """
+    for start in range(0, n, len(buf)):
+        u = buf[: n - start]
+        rng.random(out=u)
+        yield start, u
+
+
 def draw_plan(config: SimulationConfig) -> OperationPlan:
     """Draw all randomness for a run in the fixed protocol order.
 
@@ -310,7 +336,8 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     generator advances past them and is left as drawing them would
     leave it (see ``OperationPlan.words_at``).  After an odd number of
     words of width <= 32 that includes the unused high half of the last
-    output, which the generator hands to its next 32-bit draw.
+    output, which the generator hands to its next 32-bit draw.  The
+    uniforms are drawn ``_DRAW_CHUNK`` at a time (see ``_uniforms``).
     """
     rng = RandomSource(config.seed).generator
     bitgen = rng.bit_generator
@@ -323,17 +350,19 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
         if n % 2:
             spare = int(bitgen.random_raw()) >> 32
             bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": spare}
-    # The injection uniforms overwrite the priority ones in place: one n-float buffer, not two.
+    buf = np.empty(min(n, _DRAW_CHUNK))
     if config.priority_mode == "quota":
         quota = round(config.priority_fraction * n)
         priority = np.zeros(n, dtype=bool)
         priority[rng.permutation(n)[:quota]] = True
-        u = rng.random(n)
     else:
-        u = rng.random(n)
-        priority = u < config.priority_fraction
-        rng.random(out=u)
-    injected = np.flatnonzero(u < config.per_op_probability)
+        priority = np.empty(n, dtype=bool)
+        for start, u in _uniforms(rng, n, buf):
+            np.less(u, config.priority_fraction, out=priority[start : start + len(u)])
+    p = config.per_op_probability
+    injected = np.concatenate(
+        [np.flatnonzero(u < p) + start for start, u in _uniforms(rng, n, buf)]
+    )
     bit_draws = rng.random(len(injected))
     return OperationPlan(
         priority=priority, injected=injected, bit_draws=bit_draws, word_width=w, word_state=word_state
@@ -430,19 +459,19 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, k
     n, w = config.n_ops, config.word_width
     codec = get_codec(config.codec)
     b = baseline_steps(w)
-    checked = _checked_mask(config.strategy, plan.priority)
-    priority_count = int(np.count_nonzero(plan.priority))
-    total_steps = n * b + int(np.count_nonzero(checked)) * (b + 2)
+    checked_count = {Strategy.NONE: 0, Strategy.ENHANCED: plan.priority_count, Strategy.FULL: n}
+    total_steps = n * b + checked_count[config.strategy] * (b + 2)
 
+    hit_checked = _checked_mask(config.strategy, plan.priority[plan.injected]).tolist()
     words = plan.words_at(plan.injected).tolist()
     detected_bits = [
-        _verify_injected_op(codec, Word(word, w), int(bit), bool(checked[i]), w)
-        for i, word, bit in zip(plan.injected, words, bits)
+        _verify_injected_op(codec, Word(word, w), bit, checked, w)
+        for word, bit, checked in zip(words, bits.tolist(), hit_checked)
     ]
 
     records = None
     if keep_records:
-        steps = checked.astype(np.int32)
+        steps = _checked_mask(config.strategy, plan.priority).astype(np.int32)
         steps *= b + 2
         steps += b
         error_bit = np.full(n, -1, dtype=np.int16)
@@ -452,7 +481,7 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, k
         records = RecordSet(config.strategy, plan.priority, error_bit, detected, steps)
 
     report = _report(
-        config, "fast", priority_count, len(plan.injected), sum(detected_bits), total_steps
+        config, "fast", plan.priority_count, len(plan.injected), sum(detected_bits), total_steps
     )
     return report, records
 
@@ -499,7 +528,7 @@ def _run_store(
     report = _report(
         config,
         "store",
-        int(np.count_nonzero(priority)),
+        plan.priority_count,
         len(plan.injected),
         int(np.count_nonzero(detected)),
         int(steps.sum()),
@@ -632,27 +661,24 @@ class ComplexityAuditResult:
     check_bits_constant: bool
 
 
-# The audit checks every op (strategy full, default codec and seed), so
-# its step counts do not depend on the plan.
-AUDIT_N_OPS = 256
 AUDIT_TOLERANCE = 1e-9
 
 
 def complexity_audit(widths: tuple[int, ...] = (8, 16, 32)) -> ComplexityAuditResult:
     """Check that per-op steps grow linearly in width at constant check size.
 
-    Runs the simulation at each width, fits mean steps per operation
-    against width, and reports the largest residual of the linear fit
-    alongside the per-word check storage at each width.  Odd widths
-    round the traversal up, so exact linearity holds for same-parity
-    width sets.
+    Runs a one-op simulation at each width (under strategy ``full``
+    every op costs the same), fits steps per operation against width,
+    and reports the largest residual of the linear fit alongside the
+    per-word check storage at each width.  Odd widths round the
+    traversal up, so exact linearity holds for same-parity width sets.
     """
     if len(widths) < 3:
         raise ValueError("complexity audit needs runs at >= 3 word widths")
     per_op = []
     bits = []
     for w in widths:
-        cfg = SimulationConfig(n_ops=AUDIT_N_OPS, word_width=w, strategy=Strategy.FULL)
+        cfg = SimulationConfig(n_ops=1, word_width=w, strategy=Strategy.FULL)
         report, _ = run_simulation(cfg, engine="fast", keep_records=False)
         per_op.append(report.totals.total_steps / report.totals.ops)
         bits.append(get_codec(cfg.codec).check_bits(w))

@@ -1,5 +1,6 @@
 """Error-detecting codec behavior, including exhaustive small-width sweeps."""
 
+import dataclasses
 import itertools
 import math
 
@@ -213,6 +214,16 @@ class TestRegistryAndChecks:
         for value, size in ((0b1000, 3), (1, 0), (-1, 3), (0, -1)):
             with pytest.raises(ValueError):
                 CodecCheck(CodecId.BERGER, value, size)
+
+    def test_results_and_costs_are_frozen(self):
+        result = parity.verify(Word(1, 1), parity.encode(Word(1, 1)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.valid = False
+        cost = dup.cost()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cost.time_multiplier = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cost.space_multiplier = 1
 
     def test_cost_multipliers_below_one_rejected(self):
         for time_mult, space_mult in ((0.5, 1), (1, 0.5)):

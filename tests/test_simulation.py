@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -176,6 +177,16 @@ def _generator_plan(config):
 @example(n_ops=7, word_width=8, priority_mode="quota", per_op_probability=0.3, seed=0, picks=[6, 5])
 @example(n_ops=5, word_width=32, priority_mode="quota", per_op_probability=1.0, seed=1, picks=[4, 1])
 @example(n_ops=3, word_width=33, priority_mode="quota", per_op_probability=1.0, seed=1, picks=[2])
+# draw_plan draws its uniforms 65,536 at a time: n at and around the
+# chunk seams, odd n at width <= 32 leaving a spare high half.
+@example(n_ops=65535, word_width=8, priority_mode="bernoulli", per_op_probability=0.01, seed=2, picks=[65534, 0])
+@example(n_ops=65535, word_width=40, priority_mode="quota", per_op_probability=0.3, seed=2, picks=[65534])
+@example(n_ops=65536, word_width=64, priority_mode="bernoulli", per_op_probability=1.0, seed=3, picks=[65535])
+@example(n_ops=65536, word_width=16, priority_mode="quota", per_op_probability=0.01, seed=3, picks=[0, 65535])
+@example(n_ops=65537, word_width=32, priority_mode="bernoulli", per_op_probability=0.3, seed=4, picks=[65536, 65535])
+@example(n_ops=65537, word_width=33, priority_mode="quota", per_op_probability=1.0, seed=4, picks=[65536])
+@example(n_ops=131073, word_width=1, priority_mode="bernoulli", per_op_probability=0.01, seed=5, picks=[131072, 65536])
+@example(n_ops=131073, word_width=31, priority_mode="quota", per_op_probability=0.3, seed=5, picks=[65535, 131072])
 def test_plan_equals_the_generator_draws(picks, **fields):
     cfg = SimulationConfig(**fields)
     words, priority, injected, bit_draws = _generator_plan(cfg)
@@ -198,6 +209,35 @@ def test_plan_equals_the_generator_draws(picks, **fields):
     # A sub-plan's own subset still reads the original stream.
     inner = sub.subset(np.arange(1, len(idx)))
     assert np.array_equal(inner.words_at(np.arange(inner.n_ops)), words[idx[1:]])
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs; tracemalloc sees numpy buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPlanMemory:
+    N_OPS = 1_000_000
+
+    def test_a_plan_peaks_below_four_bytes_per_op(self):
+        draw_plan(small_config())  # numpy's lazy set-up is not the plan's
+        cfg = SimulationConfig(n_ops=self.N_OPS, seed=3)
+        # The priority mask holds one byte per op; the uniforms stream
+        # through one small buffer instead of n-long float arrays.
+        assert _peak_bytes(lambda: draw_plan(cfg)) < 4 * self.N_OPS
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_run_without_records_touches_only_the_injected_ops(self, strategy):
+        cfg = SimulationConfig(n_ops=self.N_OPS, seed=3, strategy=strategy)
+        plan = draw_plan(cfg)
+        run_simulation(replace(cfg, n_ops=10))  # numpy's lazy set-up is not the run's
+        peak = _peak_bytes(lambda: run_simulation(cfg, keep_records=False, plan=plan))
+        assert peak < 0.1 * self.N_OPS
 
 
 class TestPlanWords:
@@ -568,6 +608,14 @@ class TestComplexityAudit:
         assert result.max_residual <= 1e-9
         assert result.slope == pytest.approx(1.0)
         assert result.intercept == pytest.approx(2.0)
+
+    def test_steps_pinned_up_to_width_64(self):
+        result = complexity_audit(widths=(8, 16, 32, 64))
+        assert result.per_op_steps == (10.0, 18.0, 34.0, 66.0)
+        assert result.per_op_steps == tuple(
+            float(step_cost(Strategy.FULL, False, w)) for w in result.widths
+        )
+        assert result.steps_linear
 
     def test_parity_check_storage_is_constant(self):
         result = complexity_audit(widths=(8, 16, 32, 64))
