@@ -1,5 +1,6 @@
 """Experiment harness: plans, engines, step accounting, and the cost model."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -85,6 +86,28 @@ class TestConfig:
     def test_invalid_values_rejected(self, changes):
         with pytest.raises((ValueError, KeyError)):
             SimulationConfig(**changes)
+
+    def test_bounds_are_inclusive(self):
+        for p, width in ((0.0, 1), (1.0, 64)):
+            cfg = small_config(n_ops=50, word_width=width, priority_fraction=p, per_op_probability=p)
+            plan = draw_plan(cfg)
+            assert plan.priority_count == len(plan.injected) == 50 * p
+
+    def test_results_are_frozen(self):
+        cfg = small_config(n_ops=10)
+        report, _ = run_simulation(cfg)
+        cost = theoretical_cost(0.15, CostDescriptor(3, 4))
+        for value, field in (
+            (cfg, "seed"),
+            (report, "engine"),
+            (report.totals, "ops"),
+            (draw_plan(cfg), "priority"),
+            (cost, "formula"),
+            (cost.combined, "system"),
+            (complexity_audit(), "slope"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, None)
 
     def test_replaced_returns_a_new_config(self):
         cfg = small_config()
