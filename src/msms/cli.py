@@ -8,8 +8,11 @@ and reports whether the flip was prevented or caught; ``audit``
 re-verifies the hash-chained log inside a dumped store state.
 
 Settings resolve in three layers: built-in defaults, then a key=value
-config file (``--config``), then explicit flags.  ``MSMS_SEED`` in the
-environment supplies the seed when neither flag nor file does.
+config file (``--config``), then explicit flags.  A config key is the
+name of one of the subcommand's flags, and its value is converted and
+checked exactly as that flag's would be; every error in the file names
+``path:line``.  ``MSMS_SEED`` in the environment supplies the seed when
+neither flag nor file does.
 
 Exit codes are a stable contract for CI: 0 success or attack defended,
 1 operational error (bad flags, bad input, unwritable output), and 2
@@ -25,7 +28,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import simulation
 from ._version import __version__
@@ -50,8 +53,6 @@ SEED_ENV_VAR = "MSMS_SEED"
 
 # Largest run --dump-state accepts; a dump holds every op's log entries.
 DUMP_STATE_MAX_OPS = 20_000
-
-_STRATEGIES = tuple(s.value for s in Strategy)
 
 
 class CliError(Exception):
@@ -95,50 +96,45 @@ def load_config_file(path: Path) -> dict[str, tuple[int, str]]:
     return out
 
 
-class _Resolver:
-    """Flag > config file > default, per setting; a file sets only flagged keys."""
+def _apply_config(parser: argparse.ArgumentParser, path: Path) -> None:
+    """Make a config file's settings the subcommand's defaults.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_cfg: dict[str, str] = {}
-        if args.config:
-            path = Path(args.config)
-            flags = set(vars(args)) - {"command", "func", "config"}
-            for key, (lineno, value) in load_config_file(path).items():
-                if key not in flags:
-                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-                self.file_cfg[key] = value
+    Each key must name one of the subcommand's options.  Its value is
+    converted with that option's type (a boolean for an on/off flag) and
+    checked against its choices, so flags parsed afterwards still win.
+    """
+    # argparse lists a parser's options only in its private _actions.
+    options = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, (lineno, text) in load_config_file(path).items():
+        action = options.get(key)
+        if action is None:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        cast = _parse_bool if action.nargs == 0 else action.type or str
+        try:
+            value = cast(text)
+        except ValueError as e:
+            raise CliError(f"{path}:{lineno}: {key}: {e}")
+        if action.choices is not None and value not in action.choices:
+            raise CliError(f"{path}:{lineno}: unknown {key} {value!r}")
+        defaults[key] = value
+    parser.set_defaults(**defaults)
 
-    def get(self, key: str, cast: Callable[[str], Any], default: Any) -> Any:
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_cfg:
-            try:
-                return cast(self.file_cfg[key])
-            except ValueError as e:
-                raise CliError(f"config key {key!r}: {e}")
-        return default
 
-    def seed(self) -> int:
-        seed = self.get("seed", int, None)
-        if seed is not None:
-            return seed
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
         return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_state(path: Path, store: ProtectedStore) -> None:
-    path.write_text(store.dump_text())
 
 
 def _write_manifest(
@@ -188,39 +184,29 @@ def _fmt_miss(miss: Optional[float]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
-    r = _Resolver(args)
-
-    compare = r.get("compare", _parse_bool, False)
-    out_dir = r.get("out", str, None)
-    engine = r.get("engine", str, "fast")
-    dump_state = r.get("dump_state", _parse_bool, False)
-    try:
-        base_cfg = SimulationConfig(
-            n_ops=r.get("n", int, DEFAULT_N_OPS),
-            word_width=r.get("width", int, DEFAULT_WORD_WIDTH),
-            priority_fraction=r.get("p_priority", float, DEFAULT_PRIORITY_FRACTION),
-            per_op_probability=r.get("error_prob", float, DEFAULT_ERROR_PROBABILITY),
-            strategy=r.get("strategy", str, Strategy.ENHANCED.value),
-            codec=r.get("codec", str, "parity"),
-            seed=r.seed(),
-            inject_check_zone=r.get("inject_check_zone", _parse_bool, False),
-            priority_mode=r.get("priority_mode", str, "bernoulli"),
-        )
-    except (ValueError, KeyError) as e:
-        raise CliError(str(e))
-    if engine not in ("fast", "store"):
-        raise CliError(f"unknown engine {engine!r}")
-    if dump_state:
+    base_cfg = SimulationConfig(
+        n_ops=args.n,
+        word_width=args.width,
+        priority_fraction=args.p_priority,
+        per_op_probability=args.error_prob,
+        strategy=args.strategy,
+        codec=args.codec,
+        seed=_seed(args),
+        inject_check_zone=args.inject_check_zone,
+        priority_mode=args.priority_mode,
+    )
+    engine = args.engine
+    if args.dump_state:
         if base_cfg.n_ops > DUMP_STATE_MAX_OPS:
             raise CliError(
                 f"state dumps require the store engine; use --n <= {DUMP_STATE_MAX_OPS}"
             )
-        if out_dir is None:
+        if args.out is None:
             raise CliError("--dump-state needs --out DIR to write the state files into")
         engine = "store"
 
-    strategies = list(Strategy) if compare else [base_cfg.strategy]
-    out_path = Path(out_dir) if out_dir else None
+    strategies = list(Strategy) if args.compare else [base_cfg.strategy]
+    out_path = Path(args.out) if args.out else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
@@ -231,7 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     plan = simulation.draw_plan(base_cfg)
     for strategy in strategies:
         cfg = replace(base_cfg, strategy=strategy)
-        sink: Optional[list] = [] if dump_state else None
+        sink: Optional[list] = [] if args.dump_state else None
         report, records = run_simulation(
             cfg, engine=engine, keep_records=out_path is not None, capture_store=sink, plan=plan
         )
@@ -257,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             outputs.append(report_path)
             if sink:
                 state_path = out_path / f"state_{strategy.value}.json"
-                _write_state(state_path, sink[0])
+                state_path.write_text(sink[0].dump_text())
                 outputs.append(state_path)
         # Free these records before the next strategy's run builds its own.
         del records
@@ -270,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     headers = ["strategy", "total_steps", "priority_ops", "errors_injected", "detected", "miss_rate"]
     print(_format_table(headers, table_rows))
 
-    if compare:
+    if args.compare:
         # The selective strategy's cost decomposes as the unprotected
         # total plus (priority count) x (B + 2); surface that identity.
         b = baseline_steps(base_cfg.word_width)
@@ -313,16 +299,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_cost_model(args: argparse.Namespace) -> int:
     started = _now()
-    try:
-        technique = CostDescriptor(time_multiplier=args.time_mult, space_multiplier=args.space_mult)
-        result = theoretical_cost(
-            args.p_priority,
-            technique,
-            base=(args.base_time, args.base_space),
-            formula=args.formula,
-        )
-    except ValueError as e:
-        raise CliError(str(e))
+    technique = CostDescriptor(time_multiplier=args.time_mult, space_multiplier=args.space_mult)
+    result = theoretical_cost(
+        args.p_priority,
+        technique,
+        base=(args.base_time, args.base_space),
+        formula=args.formula,
+    )
 
     payload = {"tool": "msms", "version": __version__, **result.to_dict()}
     if args.json:
@@ -367,72 +350,59 @@ VICTIM_WORDS = 8  # words written into the victim page before the drill
 
 def cmd_attack(args: argparse.Namespace) -> int:
     started = _now()
-    r = _Resolver(args)
-
-    strategy = r.get("strategy", str, Strategy.ENHANCED.value)
-    codec = r.get("codec", str, "parity")
-    width = r.get("width", int, DEFAULT_WORD_WIDTH)
-    seed = r.seed()
-    priority_victim = r.get("priority_victim", _parse_bool, False)
-    protect_page = r.get("protect_page", _parse_bool, False)
-    force_merge = r.get("force_merge", _parse_bool, False)
-    out_dir = r.get("out", str, None)
-
-    if protect_page and force_merge:
+    seed = _seed(args)
+    if args.protect_page and args.force_merge:
         raise CliError(
             "--protect-page excludes the victim from merging; "
             "--force-merge asserts co-location anyway. Pick one."
         )
 
-    try:
-        store = ProtectedStore(codec=codec, strategy=strategy, word_width=width)
-        rng = RandomSource(seed)
-    except (ValueError, KeyError) as e:
-        raise CliError(str(e))
+    store = ProtectedStore(codec=args.codec, strategy=args.strategy, word_width=args.width)
+    rng = RandomSource(seed)
 
     # Victim materializes a page; the attacker knows its content, which
     # is the precondition of a dedup-then-hammer attack.
     victim_addr = Address(0, 0)
     content = []
     for offset in range(VICTIM_WORDS):
-        word = rng.word(width)
+        word = rng.word(args.width)
         content.append(word)
         store.store_write(
             Address(0, offset),
             word,
-            priority=priority_victim and offset == victim_addr.offset,
+            priority=args.priority_victim and offset == victim_addr.offset,
         )
-    if protect_page:
+    if args.protect_page:
         store.protect_page(victim_addr.page)
 
     outcome = flip_feng_shui_scenario(
-        store, content, victim_addr, rng=rng, force_merge=force_merge
+        store, content, victim_addr, rng=rng, force_merge=args.force_merge
     )
     defended = not outcome.flip_applied or outcome.detected
     payload = {
         "tool": "msms",
         "version": __version__,
         "scenario": {
-            "strategy": Strategy(strategy).value,
+            "strategy": args.strategy,
             "codec": store.codec.codec_id.value,
-            "width": width,
+            "width": args.width,
             "seed": seed,
-            "priority_victim": priority_victim,
-            "protect_page": protect_page,
-            "force_merge": force_merge,
+            "priority_victim": args.priority_victim,
+            "protect_page": args.protect_page,
+            "force_merge": args.force_merge,
         },
         "outcome": outcome.to_dict(),
         "defended": defended,
     }
     print(json.dumps(payload, indent=2))
 
-    if out_dir:
-        out_path = Path(out_dir)
+    if args.out:
+        out_path = Path(args.out)
         out_path.mkdir(parents=True, exist_ok=True)
         outcome_path = out_path / "attack_outcome.json"
         _write_json(outcome_path, payload)
         state_path = out_path / "state.json"
-        _write_state(state_path, store)
+        state_path.write_text(store.dump_text())
         manifest = _write_manifest(
             out_path, "attack", payload["scenario"], seed, [outcome_path, state_path], started
         )
@@ -484,7 +454,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    """The settings that simulate and attack share, with their one default each."""
+    p.add_argument("--config", help="key=value settings file; its keys are these flags' names")
+    p.add_argument("--strategy", choices=[s.value for s in Strategy],
+                   default=Strategy.ENHANCED.value, help="checking strategy (default %(default)s)")
+    p.add_argument("--codec", choices=codec_names(), default="parity",
+                   help="error-detecting codec (default %(default)s)")
+    p.add_argument("--width", type=int, default=DEFAULT_WORD_WIDTH,
+                   help="word width in bits (default %(default)s)")
+    p.add_argument("--seed", type=int, help=f"seed (default ${SEED_ENV_VAR} or 0)")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each subcommand's own parser by name."""
     parser = _Parser(
         prog="msms",
         description="Protected memory store simulator: selective integrity "
@@ -494,41 +477,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sim = sub.add_parser("simulate", help="run the overhead/detection experiment")
-    sim.add_argument("--config", help="key=value settings file")
-    sim.add_argument("--n", type=int, help=f"operations per run (default {DEFAULT_N_OPS})")
-    sim.add_argument("--width", type=int, help=f"word width in bits (default {DEFAULT_WORD_WIDTH})")
+    _add_shared_flags(sim)
+    sim.add_argument("--n", type=int, default=DEFAULT_N_OPS,
+                     help="operations per run (default %(default)s)")
+    sim.add_argument("--p-priority", type=float, default=DEFAULT_PRIORITY_FRACTION,
+                     help="fraction of operations flagged priority (default %(default)s)")
     sim.add_argument(
-        "--p-priority", type=float,
-        help=f"fraction of operations flagged priority (default {DEFAULT_PRIORITY_FRACTION})",
+        "--error-prob", type=float, default=DEFAULT_ERROR_PROBABILITY,
+        help="per-operation fault probability (default %(default).4g, 7.5 expected errors)",
     )
     sim.add_argument(
-        "--error-prob", type=float,
-        help="per-operation fault probability (default tuned to 7.5 expected errors)",
-    )
-    sim.add_argument("--strategy", choices=_STRATEGIES, help="checking strategy (default enhanced)")
-    sim.add_argument("--codec", choices=codec_names(), help="error-detecting codec (default parity)")
-    sim.add_argument("--seed", type=int, help=f"run seed (default ${SEED_ENV_VAR} or 0)")
-    sim.add_argument(
-        "--compare", action="store_true", default=None,
+        "--compare", action="store_true",
         help="run all three strategies on the same operation stream",
     )
     sim.add_argument("--out", help="directory for CSV/JSON artifacts plus manifest")
     sim.add_argument(
-        "--inject-check-zone", action="store_true", default=None,
+        "--inject-check-zone", action="store_true",
         help="let faults land in stored check bits as well as data",
     )
     sim.add_argument(
-        "--engine", choices=("fast", "store"),
+        "--engine", choices=("fast", "store"), default="fast",
         help="fast evaluates the plan; store drives every op through a real store, "
-        "as the fast engine's oracle (default fast; --dump-state uses store)",
+        "as the fast engine's oracle (default %(default)s; --dump-state uses store)",
     )
     sim.add_argument(
-        "--dump-state", action="store_true", default=None,
+        "--dump-state", action="store_true",
         help="write the final store state (store engine; small runs only)",
     )
     sim.add_argument(
-        "--priority-mode", choices=("bernoulli", "quota"),
-        help="per-op coin flip, or an exact priority count (default bernoulli)",
+        "--priority-mode", choices=("bernoulli", "quota"), default="bernoulli",
+        help="per-op coin flip, or an exact priority count (default %(default)s)",
     )
     sim.set_defaults(func=cmd_simulate)
 
@@ -536,39 +514,29 @@ def build_parser() -> argparse.ArgumentParser:
     # The technique defaults to the dup codec's multipliers.
     dup = get_codec("dup").cost()
     cost.add_argument("--p-priority", type=float, default=DEFAULT_PRIORITY_FRACTION,
-                      help=f"priority fraction P (default {DEFAULT_PRIORITY_FRACTION})")
+                      help="priority fraction P (default %(default)s)")
     cost.add_argument("--time-mult", type=float, default=float(dup.time_multiplier),
-                      help=f"technique time multiplier (default {dup.time_multiplier})")
+                      help="technique time multiplier (default %(default)s)")
     cost.add_argument("--space-mult", type=float, default=float(dup.space_multiplier),
-                      help=f"technique space multiplier (default {dup.space_multiplier})")
+                      help="technique space multiplier (default %(default)s)")
     cost.add_argument("--base-time", type=float, default=100.0,
-                      help="baseline time units (default 100)")
+                      help="baseline time units (default %(default)s)")
     cost.add_argument("--base-space", type=float, default=100.0,
-                      help="baseline space units (default 100)")
+                      help="baseline space units (default %(default)s)")
     cost.add_argument("--formula", choices=("additive", "weighted"), default="additive",
-                      help="combined-row formula (default additive)")
+                      help="combined-row formula (default %(default)s)")
     cost.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     cost.add_argument("--out", help="directory for cost_model.json plus manifest")
     cost.set_defaults(func=cmd_cost_model)
 
     atk = sub.add_parser("attack", help="drill the dedup-then-hammer scenario")
-    atk.add_argument("--config", help="key=value settings file")
-    atk.add_argument("--strategy", choices=_STRATEGIES, help="checking strategy (default enhanced)")
-    atk.add_argument("--codec", choices=codec_names(), help="error-detecting codec (default parity)")
-    atk.add_argument("--width", type=int, help=f"word width in bits (default {DEFAULT_WORD_WIDTH})")
-    atk.add_argument("--seed", type=int, help=f"scenario seed (default ${SEED_ENV_VAR} or 0)")
-    atk.add_argument(
-        "--priority-victim", action="store_true", default=None,
-        help="victim word carries the priority flag",
-    )
-    atk.add_argument(
-        "--protect-page", action="store_true", default=None,
-        help="exempt the victim page from deduplication",
-    )
-    atk.add_argument(
-        "--force-merge", action="store_true", default=None,
-        help="apply the flip even if the dedup scan declined to merge",
-    )
+    _add_shared_flags(atk)
+    atk.add_argument("--priority-victim", action="store_true",
+                     help="victim word carries the priority flag")
+    atk.add_argument("--protect-page", action="store_true",
+                     help="exempt the victim page from deduplication")
+    atk.add_argument("--force-merge", action="store_true",
+                     help="apply the flip even if the dedup scan declined to merge")
     atk.add_argument("--out", help="directory for outcome/state artifacts plus manifest")
     atk.set_defaults(func=cmd_attack)
 
@@ -576,13 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("state", help="state dump JSON from simulate --dump-state or attack --out")
     aud.set_defaults(func=cmd_audit)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # The file's settings become defaults, so the second parse lets flags win.
+            _apply_config(commands[args.command], Path(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as e:
         print(f"msms: error: {e}", file=sys.stderr)

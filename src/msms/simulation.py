@@ -354,7 +354,11 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     if config.priority_mode == "quota":
         quota = round(config.priority_fraction * n)
         priority = np.zeros(n, dtype=bool)
-        priority[rng.permutation(n)[:quota]] = True
+        # permutation(n) shuffles an int64 arange; the narrowest index type
+        # shuffles to the same order and leaves the generator in the same state.
+        order = np.arange(n, dtype=np.min_scalar_type(n - 1))
+        rng.shuffle(order)
+        priority[order[:quota]] = True
     else:
         priority = np.empty(n, dtype=bool)
         for start, u in _uniforms(rng, n, buf):

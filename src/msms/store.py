@@ -370,11 +370,17 @@ class AuditLog:
 
 
 def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
-    """Verify a dumped audit chain without reconstructing the store."""
+    """Verify a dumped audit chain without reconstructing the store.
+
+    A detail is hashed as dumped, and one that is not a JSON object
+    raises ``TypeError``, as a missing field raises ``KeyError``.
+    """
     prev = GENESIS
     for position, e in enumerate(entries):
+        if not isinstance(e["detail"], dict):
+            raise TypeError(f"the detail of entry {position} is not a JSON object")
         recomputed = _entry_digest(
-            e["sequence"], e["event"], e["address"], dict(e["detail"]), e["digest_prev"]
+            e["sequence"], e["event"], e["address"], e["detail"], e["digest_prev"]
         )
         if e["digest_prev"] != prev or recomputed != e["digest_self"] or e["sequence"] != position:
             return False, position

@@ -21,8 +21,10 @@ def reference_verify(entries):
     """The dump verifier as it was written with json.dumps."""
     prev = GENESIS
     for position, e in enumerate(entries):
+        if not isinstance(e["detail"], dict):
+            raise TypeError("detail is not a JSON object")
         recomputed = reference_digest(
-            e["sequence"], e["event"], e["address"], dict(e["detail"]), e["digest_prev"]
+            e["sequence"], e["event"], e["address"], e["detail"], e["digest_prev"]
         )
         if e["digest_prev"] != prev or recomputed != e["digest_self"] or e["sequence"] != position:
             return False, position
@@ -192,7 +194,7 @@ def _resign(entries, start):
     for e in entries[start:]:
         e["digest_prev"] = prev
         e["digest_self"] = reference_digest(
-            e["sequence"], e["event"], e["address"], dict(e["detail"]), prev
+            e["sequence"], e["event"], e["address"], e["detail"], prev
         )
         prev = e["digest_self"]
 

@@ -409,6 +409,25 @@ class TestAudit:
         assert code == EXIT_ERROR
         assert "not a recognizable state dump" in err
 
+    @pytest.mark.parametrize(
+        "event, retype",
+        [("read", list), ("write", lambda detail: sorted(detail.items()))],
+        ids=["read-detail-list", "write-detail-pairs"],
+    )
+    def test_a_detail_that_changed_type_is_malformed(self, event, retype, tmp_path, capsys):
+        # dict() of either list equals the dumped detail, so only its type shows the change.
+        out_dir = tmp_path / "dump"
+        assert run(["simulate", "--n", "50", "--dump-state", "--out", str(out_dir)], capsys)[0] == EXIT_OK
+        state = out_dir / "state_enhanced.json"
+        data = json.loads(state.read_text())
+        entry = next(e for e in data["zones"]["log"] if e["event"] == event)
+        entry["detail"] = retype(entry["detail"])
+        state.write_text(json.dumps(data))
+        code, out, err = run(["audit", str(state)], capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "malformed log entries" in err
+
     def test_empty_chain_is_genesis(self, tmp_path, capsys):
         path = tmp_path / "genesis.json"
         path.write_text(json.dumps({"metadata": {}, "zones": {"log": []}}))
@@ -572,6 +591,26 @@ def test_json_artifacts_match_golden_digests(tmp_path, capsys):
     assert code == EXIT_OK
     for name, digest in GOLDEN_JSON_ARTIFACTS.items():
         assert _sha256_file(tmp_path / name) == digest, name
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("simulate", "width = wide", "width: invalid literal for int() with base 10: 'wide'"),
+        ("simulate", "compare = maybe", "compare: expected a boolean, got 'maybe'"),
+        ("simulate", "codec = crc", "unknown codec 'crc'"),
+        ("attack", "strategy = paranoid", "unknown strategy 'paranoid'"),
+    ],
+    ids=["width-not-an-int", "compare-not-a-bool", "unknown-codec", "attack-unknown-strategy"],
+)
+def test_bad_config_value_names_its_line(command, setting, message, tmp_path, capsys):
+    # A file value is checked as the flag's would be, before the run starts.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{setting}\n")
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert f"{cfg}:2: {message}" in err
 
 
 @pytest.mark.parametrize(

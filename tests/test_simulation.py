@@ -234,6 +234,15 @@ def test_plan_equals_the_generator_draws(picks, **fields):
     assert np.array_equal(inner.words_at(np.arange(inner.n_ops)), words[idx[1:]])
 
 
+@pytest.mark.parametrize("n_ops", [255, 256, 257, 65536, 65537])
+def test_quota_plan_equals_the_permutation_where_the_index_type_widens(n_ops):
+    # draw_plan shuffles the narrowest unsigned type that holds n - 1; one
+    # too narrow wraps the last index to 0, so a full quota shows it.
+    for fraction in (0.5, 1.0):
+        cfg = SimulationConfig(n_ops=n_ops, priority_fraction=fraction, priority_mode="quota", seed=6)
+        assert np.array_equal(draw_plan(cfg).priority, _generator_plan(cfg)[1]), fraction
+
+
 def _peak_bytes(fn) -> int:
     """Peak bytes traced while ``fn()`` runs; tracemalloc sees numpy buffers."""
     tracemalloc.start()
@@ -253,6 +262,12 @@ class TestPlanMemory:
         # The priority mask holds one byte per op; the uniforms stream
         # through one small buffer instead of n-long float arrays.
         assert _peak_bytes(lambda: draw_plan(cfg)) < 4 * self.N_OPS
+
+    def test_a_quota_plan_peaks_below_seven_bytes_per_op(self):
+        draw_plan(small_config(priority_mode="quota"))
+        cfg = SimulationConfig(n_ops=self.N_OPS, seed=3, priority_mode="quota")
+        # The shuffled op order takes four bytes per op here, not eight.
+        assert _peak_bytes(lambda: draw_plan(cfg)) < 7 * self.N_OPS
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_a_run_without_records_touches_only_the_injected_ops(self, strategy):

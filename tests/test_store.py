@@ -23,7 +23,6 @@ from msms import (
     flip_feng_shui_scenario,
     verify_entry_dicts,
 )
-from msms.cli import _write_state
 
 
 def make_store(**kwargs):
@@ -417,7 +416,7 @@ def test_sharing_walk_dump_files_match_golden_digests(tmp_path):
     for words_per_page, store, digest in zip((1, 2, 3), _sharing_walk_stores(), GOLDEN_WALK_FILES):
         assert AuditEvent.COW_BREAK in [e["event"] for e in store.audit_entries()]
         path = tmp_path / f"walk_{words_per_page}.json"
-        _write_state(path, store)
+        path.write_text(store.dump_text())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, words_per_page
 
 
