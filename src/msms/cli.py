@@ -201,7 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise CliError(
                 f"state dumps require the store engine; use --n <= {DUMP_STATE_MAX_OPS}"
             )
-        if args.out is None:
+        if not args.out:
             raise CliError("--dump-state needs --out DIR to write the state files into")
         engine = "store"
 

@@ -2,9 +2,13 @@
 
 Each simulated operation draws a random word, classifies it as priority
 with probability P, writes it through the monitor, possibly suffers an
-injected single-bit error, and is read back.  The run records detection
-outcomes and step costs per operation and aggregates them into a
-report.  Everything is deterministic per seed.
+injected single-bit error, and is read back.  The run records each
+operation's step cost and detection outcome and aggregates them into a
+report.  Everything is deterministic per seed.  Only checked words are
+verified, so a record row is fixed by the op's priority flag and the
+strategy except at the injected ops; a :class:`RecordSet` holds the
+plan's priority mask, the strategy's two step costs and the injected
+ops' rows, and nothing else n long.
 
 Randomness follows a fixed draw protocol so that runs replay exactly:
 first the word values, then the priority classification, then the
@@ -24,8 +28,8 @@ store-backed engine replay the same plan and produce byte-identical
 records; the store engine additionally drives every operation through a
 real :class:`~msms.store.ProtectedStore`.  A plan counts its priority ops
 once (:attr:`OperationPlan.priority_count`), and the fast engine takes
-the checked count from the strategy, so without records it touches only
-the injected ops.
+the checked count from the strategy, so with or without records it
+touches only the injected ops.
 
 Step accounting: the baseline cost of any operation is B = ceil(w/2)
 steps (work done even with no detection, such as reading the word).  A
@@ -97,26 +101,37 @@ class SimulationConfig:
 
 
 class RecordSet:
-    """Columnar per-operation records for one run; one CSV row per operation.
+    """Per-operation records for one run; one CSV row per operation.
 
-    Row ``i`` is operation ``i``.  The columns are numpy arrays, so
-    full-scale runs stay cheap to aggregate and serialize; ``len()`` is
-    the number of operations.
+    Row ``i`` is operation ``i``.  A row is fixed by the op's priority
+    flag and the strategy, except at the injected ops, so a record set
+    holds only what differs:
+
+    * ``priority``, the plan's mask, shared by the three strategies' runs;
+    * ``steps_by_priority``, the steps of an op without and with the
+      priority flag under this strategy (see ``step_cost``);
+    * ``injected``, the ascending indices of the injected ops;
+    * ``flip_bits`` and ``flip_detected``, each injected op's flip
+      position and whether the read caught it, in ``injected`` order.
+
+    No other array is n long; ``len()`` is the number of operations.
     """
 
     def __init__(
         self,
         strategy: Strategy,
         priority: np.ndarray,
-        error_bit: np.ndarray,  # int16, -1 where no injection
-        detected: np.ndarray,
-        steps: np.ndarray,
+        steps_by_priority: tuple[int, int],
+        injected: np.ndarray,
+        flip_bits: np.ndarray,
+        flip_detected: np.ndarray,
     ):
         self.strategy = strategy
         self.priority = priority
-        self.error_bit = error_bit
-        self.detected = detected
-        self.steps = steps
+        self.steps_by_priority = steps_by_priority
+        self.injected = injected
+        self.flip_bits = flip_bits
+        self.flip_detected = flip_detected
 
     def __len__(self) -> int:
         return len(self.priority)
@@ -124,36 +139,36 @@ class RecordSet:
     def write_csv(self, fh: IO[str]) -> None:
         """Emit one row per operation under the fixed header.
 
-        A row is its ``op_id`` followed by a suffix that is fixed by four
-        columns, ``(priority, error_bit, detected, steps)``, and a run
-        holds few distinct such tuples.  So each chunk of rows formats its
-        distinct suffixes once and assembles its rows as bytes with numpy:
-        each row gathers its suffix from a NUL-padded table, the op_id
-        digits are written in front, and the padding is dropped.  Chunks
-        also split at each power of ten, so all op_ids in a chunk have the
-        same number of digits.  Only ``fh.write`` is called on ``fh``.
+        A row is its ``op_id`` followed by a suffix.  Each chunk of rows
+        formats two plain suffixes, one per priority flag, plus one per
+        distinct ``(flip position, detection, priority)`` of its injected
+        rows, and assembles its rows as bytes with numpy: a row's index
+        into that NUL-padded table is its priority flag, patched at the
+        injected rows; the op_id digits are written in front, and the
+        padding is dropped.  Chunks also split at each power of ten, so
+        all op_ids in a chunk have the same number of digits.  Only
+        ``fh.write`` is called on ``fh``.
         """
         fh.write(CSV_HEADER + "\n")
         n = len(self)
         cuts = sorted({*range(0, n, _CSV_CHUNK), *(10**k for k in range(1, len(str(n)))), n})
         for start, stop in zip(cuts, cuts[1:]):
-            # Pack (steps, error_bit + 1, detected, priority) into one
-            # int64 per row; _csv_suffix unpacks it.
-            key = self.steps[start:stop].astype(np.int64) << 16
-            key += self.error_bit[start:stop]
-            key += 1
-            key <<= 1
-            key += self.detected[start:stop]
-            key <<= 1
-            key += self.priority[start:stop]
-            # Distinct keys by sort; np.unique is over ten times slower here.
-            ordered = np.sort(key)
-            keys = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+            hit = slice(*np.searchsorted(self.injected, (start, stop)).tolist())
+            ops = self.injected[hit]
+            # Pack (flip position, detected, priority) into one int per injected row.
+            key = self.flip_bits[hit].astype(np.int64) << 2
+            key += self.flip_detected[hit] << 1
+            key += self.priority[ops]
+            keys, which = np.unique(key, return_inverse=True)
 
             digits = len(str(start))
-            table = np.array([b"\0" * digits + _csv_suffix(self.strategy, int(k)) for k in keys])
-            table = table.view(np.uint8).reshape(len(keys), -1)
-            rows = np.take(table, np.searchsorted(keys, key), axis=0)
+            suffixes = [self._suffix(pri, None, False) for pri in (False, True)]
+            suffixes += [self._suffix(k & 1, k >> 2, k >> 1 & 1) for k in keys.tolist()]
+            table = np.array([b"\0" * digits + suffix for suffix in suffixes])
+            table = table.view(np.uint8).reshape(len(suffixes), -1)
+            index = self.priority[start:stop].astype(np.intp)
+            index[ops - start] = which + 2
+            rows = np.take(table, index, axis=0)
             # Digits are built contiguously and copied in once; // by a
             # scalar is much faster than % on numpy integer arrays.
             ids = np.arange(start, stop, dtype=np.uint32 if stop <= 1 << 32 else np.uint64)
@@ -166,14 +181,13 @@ class RecordSet:
             rows[:, :digits] = id_digits.T
             fh.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
 
-
-def _csv_suffix(strategy: Strategy, key: int) -> bytes:
-    """The row text after ``op_id`` for one of ``write_csv``'s packed keys."""
-    pri, det, bit, steps = key & 1, key >> 1 & 1, (key >> 2 & 0xFFFF) - 1, key >> 18
-    return (
-        f",{_csv_bool(pri)},{strategy.value},{_csv_bool(bit >= 0)},"
-        f"{bit if bit >= 0 else ''},{_csv_bool(det)},{steps}\n"
-    ).encode("ascii")
+    def _suffix(self, priority: bool, bit: Optional[int], detected: bool) -> bytes:
+        """The row text after ``op_id``; ``bit`` is None for an op not injected."""
+        return (
+            f",{_csv_bool(priority)},{self.strategy.value},{_csv_bool(bit is not None)},"
+            f"{'' if bit is None else bit},{_csv_bool(detected)},"
+            f"{self.steps_by_priority[priority]}\n"
+        ).encode("ascii")
 
 
 def _csv_bool(x: bool) -> str:
@@ -304,6 +318,11 @@ def step_cost(strategy: Union[Strategy, str], priority: bool, word_width: int) -
     if strategy is Strategy.FULL or (strategy is Strategy.ENHANCED and priority):
         return 2 * b + 2
     return b
+
+
+def _steps_by_priority(config: SimulationConfig) -> tuple[int, int]:
+    """Steps of an op without and with the priority flag, under ``config``."""
+    return tuple(step_cost(config.strategy, pri, config.word_width) for pri in (False, True))
 
 
 def _checked_mask(strategy: Strategy, priority: np.ndarray) -> np.ndarray:
@@ -475,14 +494,14 @@ def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, k
 
     records = None
     if keep_records:
-        steps = _checked_mask(config.strategy, plan.priority).astype(np.int32)
-        steps *= b + 2
-        steps += b
-        error_bit = np.full(n, -1, dtype=np.int16)
-        error_bit[plan.injected] = bits
-        detected = np.zeros(n, dtype=bool)
-        detected[plan.injected] = detected_bits
-        records = RecordSet(config.strategy, plan.priority, error_bit, detected, steps)
+        records = RecordSet(
+            config.strategy,
+            plan.priority,
+            _steps_by_priority(config),
+            plan.injected,
+            bits,
+            np.array(detected_bits, dtype=bool),
+        )
 
     report = _report(
         config, "fast", plan.priority_count, len(plan.injected), sum(detected_bits), total_steps
@@ -507,37 +526,41 @@ def _run_store(
     )
     wpp = store.words_per_page
     priority = plan.priority
-    detected = np.zeros(n, dtype=bool)
-    error_bit = np.full(n, -1, dtype=np.int16)
     flips = dict(zip(plan.injected.tolist(), bits.tolist()))
+    detected = []
     words = plan.words_at(np.arange(n)).tolist()
     for i in range(n):
         addr = Address(i // wpp, i % wpp)
         word = Word(words[i], w)
-        is_priority = bool(priority[i])
-        store.store_write(addr, word, priority=is_priority)
+        store.store_write(addr, word, priority=bool(priority[i]))
         bit = flips.get(i)
         if bit is not None:
-            error_bit[i] = bit
             if bit < w:
                 store.corrupt_data_bit(addr, bit)
             else:
                 store.corrupt_check_bit(addr, bit - w)
-        result = store.store_read(addr)
-        detected[i] = result.validity is Validity.INVALID
-    steps = np.where(
-        priority, step_cost(config.strategy, True, w), step_cost(config.strategy, False, w)
-    ).astype(np.int32)
+        invalid = store.store_read(addr).validity is Validity.INVALID
+        if bit is not None:
+            detected.append(invalid)
+        elif invalid:
+            # A record set has no row for this: an op without a flip must
+            # read back as written.
+            raise RuntimeError(f"op {i} was not injected but read back INVALID")
+    steps = _steps_by_priority(config)
 
     report = _report(
         config,
         "store",
         plan.priority_count,
         len(plan.injected),
-        int(np.count_nonzero(detected)),
-        int(steps.sum()),
+        sum(detected),
+        (n - plan.priority_count) * steps[False] + plan.priority_count * steps[True],
     )
-    records = RecordSet(config.strategy, priority, error_bit, detected, steps) if keep_records else None
+    records = None
+    if keep_records:
+        records = RecordSet(
+            config.strategy, priority, steps, plan.injected, bits, np.array(detected, dtype=bool)
+        )
     if capture_store is not None:
         capture_store.append(store)
     return report, records

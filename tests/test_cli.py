@@ -184,6 +184,19 @@ class TestSimulate:
         assert "--out" in err
         assert out == ""
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_dump_state_with_an_empty_out_exits_one(self, form, tmp_path, capsys, monkeypatch):
+        # An empty --out writes nothing, so a state dump would be lost.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        extra = ["--out", ""] if form == "flag" else ["--config", str(cfg)]
+        code, out, err = run(["simulate", "--n", "200", "--dump-state", *extra], capsys)
+        assert code == EXIT_ERROR
+        assert "--dump-state needs --out DIR" in err
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_dump_state_writes_verifiable_state(self, tmp_path, capsys):
         out_dir = tmp_path / "dump"
         code, _, _ = run(SIM_SMALL + ["--dump-state", "--out", str(out_dir)], capsys)
@@ -573,7 +586,7 @@ def test_records_without_check_zone_flag_match_golden_digests(tmp_path, capsys):
         n_ops=1500, seed=12, per_op_probability=0.004, inject_check_zone=True, strategy="full"
     )
     _, records = run_simulation(flipped, engine="fast")
-    assert (records.error_bit >= flipped.word_width).any()
+    assert (records.flip_bits >= flipped.word_width).any()
 
 
 # sha256 of the JSON artifacts of a default small comparison, written by

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from msms import (
     CSV_HEADER,
     CostDescriptor,
+    ProtectedStore,
+    ReadResult,
     SimulationConfig,
     Strategy,
     baseline_steps,
@@ -26,6 +28,7 @@ from msms import (
     run_simulation,
     step_cost,
     theoretical_cost,
+    Validity,
 )
 from msms.cli import main
 
@@ -145,7 +148,7 @@ class TestPlan:
 
     def test_bits_stay_in_the_data_domain_by_default(self):
         _, records = run_simulation(small_config(per_op_probability=0.2), engine="fast")
-        bits = records.error_bit[records.error_bit >= 0]
+        bits = records.flip_bits
         assert bits.size > 0
         assert bits.max() < 8
 
@@ -159,8 +162,8 @@ class TestPlan:
         )
         _, records = run_simulation(cfg, engine="fast")
         # duplication stores 16 check bits at width 8: domain is 24
-        assert records.error_bit.max() >= 8
-        assert records.error_bit.max() < 24
+        assert records.flip_bits.max() >= 8
+        assert records.flip_bits.max() < 24
 
 
 def _generator_plan(config):
@@ -278,6 +281,36 @@ class TestPlanMemory:
         assert peak < 0.1 * self.N_OPS
 
 
+class _NullSink:
+    def write(self, text: str) -> None:
+        pass
+
+
+class TestRecordMemory:
+    N_OPS = 1_000_000
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_run_with_records_touches_only_the_injected_ops(self, strategy):
+        cfg = SimulationConfig(n_ops=self.N_OPS, seed=3, strategy=strategy)
+        plan = draw_plan(cfg)
+        run_simulation(replace(cfg, n_ops=10))  # numpy's lazy set-up is not the run's
+        # The records share the plan's priority mask and hold only the
+        # injected ops' rows beside it.
+        peak = _peak_bytes(lambda: run_simulation(cfg, plan=plan))
+        assert peak < 0.1 * self.N_OPS
+
+    def test_write_csv_memory_is_bounded_by_its_chunk(self):
+        _, records = run_simulation(SimulationConfig(n_ops=self.N_OPS, seed=3))
+        records.write_csv(_NullSink())  # first-call set-up is not the writer's
+        # 65,536 rows of about 40 bytes, in a few copies; n rows would be 40 MB.
+        assert _peak_bytes(lambda: records.write_csv(_NullSink())) < 16 * 2**20
+
+    def test_the_strategies_share_one_priority_mask(self):
+        runs = run_comparison(small_config())
+        masks = [records.priority for _, records in runs.values()]
+        assert masks[0] is masks[1] is masks[2]
+
+
 class TestPlanWords:
     def test_an_index_outside_the_plan_is_rejected(self):
         plan = draw_plan(small_config(n_ops=10))
@@ -323,6 +356,24 @@ class TestEngines:
         # Rows, not one string: pytest's diff of two long strings takes
         # minutes, and a failing sweep would pay it for every shrink step.
         assert a.getvalue().split("\n") == b.getvalue().split("\n")
+
+    def test_store_engine_rejects_an_invalid_read_of_a_clean_op(self, monkeypatch):
+        cfg = small_config(n_ops=50, per_op_probability=0.05)
+        plan = draw_plan(cfg)
+        clean = next(i for i in range(cfg.n_ops) if i not in plan.injected)
+        assert len(plan.injected) > 0
+        op_ids = iter(range(cfg.n_ops))  # the store engine reads each op once, in order
+        real_read = ProtectedStore.store_read
+
+        def store_read(store, addr):
+            result = real_read(store, addr)
+            if next(op_ids) == clean:
+                return ReadResult(result.word, Validity.INVALID)
+            return result
+
+        monkeypatch.setattr(ProtectedStore, "store_read", store_read)
+        with pytest.raises(RuntimeError, match=f"op {clean} was not injected"):
+            run_simulation(cfg, engine="store", plan=plan)
 
     def test_fast_is_the_default_engine(self):
         report, _ = run_simulation(small_config(n_ops=50))
@@ -401,12 +452,17 @@ def test_store_engine_replays_full_scale_runs(word_width, priority_mode, seed):
                 cfg = replace(base, codec=codec, inject_check_zone=inject_check_zone, strategy=strategy)
                 _, fast = run_simulation(cfg, engine="fast", plan=plan)
                 _, store = run_simulation(replace(cfg, n_ops=len(idx)), engine="store", plan=sub)
-                for column in ("priority", "error_bit", "detected", "steps"):
-                    assert np.array_equal(getattr(fast, column)[idx], getattr(store, column)), (
-                        cfg,
-                        column,
-                    )
-                check_zone_flips += int(np.count_nonzero(store.error_bit >= word_width))
+                assert np.array_equal(fast.priority[idx], store.priority), cfg
+                assert np.array_equal(
+                    np.take(fast.steps_by_priority, fast.priority[idx]),
+                    np.take(store.steps_by_priority, store.priority),
+                ), cfg
+                # The sub-plan keeps every injected op, so both runs list
+                # the same ops, flips and detections, in the same order.
+                assert np.array_equal(fast.injected, idx[store.injected]), cfg
+                assert np.array_equal(fast.flip_bits, store.flip_bits), cfg
+                assert np.array_equal(fast.flip_detected, store.flip_detected), cfg
+                check_zone_flips += int(np.count_nonzero(store.flip_bits >= word_width))
     # The replay reached the check-zone branch of the store engine.
     assert check_zone_flips > 0
 
@@ -431,8 +487,9 @@ class TestTotals:
 
     def test_enhanced_detects_exactly_the_priority_hits(self):
         report, records = run_simulation(small_config(), engine="fast")
-        hits = (records.error_bit >= 0) & records.priority
-        assert np.array_equal(records.detected, hits)
+        # Rows that were not injected hold no detection at all.
+        hits = records.priority[records.injected]
+        assert np.array_equal(records.flip_detected, hits)
         assert report.totals.errors_detected == int(hits.sum())
 
     def test_miss_rate_none_when_nothing_injected(self):
@@ -485,22 +542,26 @@ class TestRecords:
         def text(flag):
             return "true" if flag else "false"
 
-        columns = zip(
-            records.priority.tolist(),
-            records.error_bit.tolist(),
-            records.detected.tolist(),
-            records.steps.tolist(),
+        flips = dict(
+            zip(
+                records.injected.tolist(),
+                zip(records.flip_bits.tolist(), records.flip_detected.tolist()),
+            )
         )
-        expected = [
-            f"{op_id},{text(pri)},enhanced,{text(bit >= 0)},"
-            f"{bit if bit >= 0 else ''},{text(det)},{steps}"
-            for op_id, (pri, bit, det, steps) in enumerate(columns)
-        ]
+        expected = []
+        for op_id, pri in enumerate(records.priority.tolist()):
+            bit, det = flips.get(op_id, (-1, False))
+            steps = records.steps_by_priority[pri]
+            expected.append(
+                f"{op_id},{text(pri)},enhanced,{text(bit >= 0)},"
+                f"{bit if bit >= 0 else ''},{text(det)},{steps}"
+            )
         assert lines[1:] == expected
 
     def test_steps_column_sums_to_the_total(self):
         report, records = run_simulation(small_config(), engine="fast")
-        assert int(records.steps.sum()) == report.totals.total_steps
+        steps = np.take(records.steps_by_priority, records.priority)
+        assert int(steps.sum()) == report.totals.total_steps
 
 
 class _HashSink:
@@ -684,21 +745,24 @@ def test_record_level_invariants(width, strategy, seed, per_op_probability, inje
     )
     report, records = run_simulation(cfg, engine="fast")
     b = baseline_steps(width)
-    injected = records.error_bit >= 0
+    injected = records.injected
+    assert np.all(np.diff(injected) > 0)
+    assert len(records.flip_bits) == len(records.flip_detected) == len(injected)
     if per_op_probability == 0.0:
-        assert not injected.any()
+        assert injected.size == 0
     if per_op_probability == 1.0:
-        assert injected.all()
+        assert np.array_equal(injected, np.arange(400))
     if strategy is Strategy.ENHANCED:
         checked = records.priority
     else:
         checked = np.full(400, strategy is Strategy.FULL)
-    assert np.array_equal(records.steps, np.where(checked, 2 * b + 2, b))
+    steps = np.take(records.steps_by_priority, records.priority)
+    assert np.array_equal(steps, np.where(checked, 2 * b + 2, b))
     # A flip lands in the word, or in the one parity check bit of a
     # checked op when check-zone faults are on.
     domain = np.where(checked & inject_check_zone, width + 1, width)
-    assert (records.error_bit < domain).all()
-    # Detection implies injection into a checked op, and parity catches
-    # every single flip of a checked op, in the word or in its check.
-    assert np.array_equal(records.detected, injected & checked)
-    assert int(records.detected.sum()) == report.totals.errors_detected
+    assert (records.flip_bits < domain[injected]).all()
+    # Only injected ops carry a detection, and parity catches every
+    # single flip of a checked op, in the word or in its check.
+    assert np.array_equal(records.flip_detected, checked[injected])
+    assert int(records.flip_detected.sum()) == report.totals.errors_detected
