@@ -58,6 +58,7 @@ from .words import MAX_WIDTH, RandomSource, Word, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 _CSV_CHUNK = 65536  # most rows RecordSet.write_csv assembles at once
+_CSV_WRITE = 16384  # most rows RecordSet.write_csv passes to one fh.write
 _DRAW_CHUNK = 65536  # most uniforms draw_plan holds at once
 
 DEFAULT_PRIORITY_FRACTION = 0.15
@@ -147,7 +148,8 @@ class RecordSet:
         injected rows; the op_id digits are written in front, and the
         padding is dropped.  Chunks also split at each power of ten, so
         all op_ids in a chunk have the same number of digits.  Only
-        ``fh.write`` is called on ``fh``.
+        ``fh.write`` is called on ``fh``, with at most 16,384 rows at a
+        time.
         """
         fh.write(CSV_HEADER + "\n")
         n = len(self)
@@ -179,7 +181,13 @@ class RecordSet:
                 ids = quotient
             id_digits += ord("0")
             rows[:, :digits] = id_digits.T
-            fh.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
+            # glibc malloc serves a block at or above its mmap threshold
+            # with fresh pages on every call, and freeing the chunk's arrays
+            # raises the threshold only to their own size; text cut smaller
+            # than them reuses heap pages instead of faulting in new ones.
+            for row in range(0, stop - start, _CSV_WRITE):
+                piece = rows[row : row + _CSV_WRITE].tobytes()
+                fh.write(piece.replace(b"\0", b"").decode("ascii"))
 
     def _suffix(self, priority: bool, bit: Optional[int], detected: bool) -> bytes:
         """The row text after ``op_id``; ``bit`` is None for an op not injected."""
