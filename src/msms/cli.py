@@ -9,10 +9,10 @@ re-verifies the hash-chained log inside a dumped store state.
 
 Settings resolve in three layers: built-in defaults, then a key=value
 config file (``--config``), then explicit flags.  A config key is the
-name of one of the subcommand's flags, and its value is converted and
-checked exactly as that flag's would be; every error in the file names
-``path:line``.  ``MSMS_SEED`` in the environment supplies the seed when
-neither flag nor file does.
+name of one of the subcommand's flags, set at most once, and its value
+is converted and checked exactly as that flag's would be; every error in
+the file names ``path:line``.  ``MSMS_SEED`` in the environment supplies
+the seed when neither flag nor file does.
 
 Exit codes are a stable contract for CI: 0 success or attack defended,
 1 operational error (bad flags, bad input, unwritable output), and 2
@@ -92,7 +92,11 @@ def load_config_file(path: Path) -> dict[str, tuple[int, str]]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        out[key.strip().lower().replace("-", "_")] = (lineno, value.strip())
+        key = key.strip().lower().replace("-", "_")
+        if key in out:
+            first = out[key][0]
+            raise CliError(f"{path}:{lineno}: duplicate key {key!r} (first set on line {first})")
+        out[key] = (lineno, value.strip())
     return out
 
 
@@ -245,8 +249,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 state_path = out_path / f"state_{strategy.value}.json"
                 state_path.write_text(sink[0].dump_text())
                 outputs.append(state_path)
-        # Free these records before the next strategy's run builds its own.
-        del records
 
     print(
         f"n={base_cfg.n_ops} width={base_cfg.word_width} "

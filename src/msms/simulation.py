@@ -25,11 +25,14 @@ change; the other draws still come from ``Generator`` methods, and the
 tests keep the ``Generator`` draw of every word as the reference.
 Because the protocol is fixed, the vectorized fast engine and the
 store-backed engine replay the same plan and produce byte-identical
-records; the store engine additionally drives every operation through a
-real :class:`~msms.store.ProtectedStore`.  A plan counts its priority ops
-once (:attr:`OperationPlan.priority_count`), and the fast engine takes
-the checked count from the strategy, so with or without records it
-touches only the injected ops.
+records.  An engine decides only which injected flips were caught: the
+fast engine verifies each injected op's word alone, and the store engine
+drives every operation through a real
+:class:`~msms.store.ProtectedStore`.  The rest of a run follows from the
+plan, the strategy and those flags, and ``run_simulation`` builds it
+once for both engines.  The step total comes from the plan's priority
+count (:attr:`OperationPlan.priority_count`), so with or without
+records a fast run touches only the injected ops.
 
 Step accounting: the baseline cost of any operation is B = ceil(w/2)
 steps (work done even with no detection, such as reading the word).  A
@@ -315,30 +318,23 @@ def baseline_steps(word_width: int) -> int:
     return (word_width + 1) // 2
 
 
+# Whether a strategy checks an op without and with the priority flag.
+_CHECKED_BY_PRIORITY = {
+    Strategy.NONE: (False, False),
+    Strategy.ENHANCED: (False, True),
+    Strategy.FULL: (True, True),
+}
+
+
 def step_cost(strategy: Union[Strategy, str], priority: bool, word_width: int) -> int:
     """Steps one operation costs under a strategy.
 
     Unchecked operations pay the baseline B = ceil(width/2); checked
     ones pay B more for the check traversal plus two priority-bit steps.
+    ``priority`` is read by its truth value.
     """
-    strategy = Strategy(strategy)
     b = baseline_steps(word_width)
-    if strategy is Strategy.FULL or (strategy is Strategy.ENHANCED and priority):
-        return 2 * b + 2
-    return b
-
-
-def _steps_by_priority(config: SimulationConfig) -> tuple[int, int]:
-    """Steps of an op without and with the priority flag, under ``config``."""
-    return tuple(step_cost(config.strategy, pri, config.word_width) for pri in (False, True))
-
-
-def _checked_mask(strategy: Strategy, priority: np.ndarray) -> np.ndarray:
-    if strategy is Strategy.FULL:
-        return np.ones_like(priority)
-    if strategy is Strategy.ENHANCED:
-        return priority
-    return np.zeros_like(priority)
+    return 2 * b + 2 if _CHECKED_BY_PRIORITY[Strategy(strategy)][bool(priority)] else b
 
 
 def _uniforms(
@@ -400,19 +396,21 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     )
 
 
-def _flip_positions(config: SimulationConfig, plan: OperationPlan) -> np.ndarray:
+def _flip_positions(
+    config: SimulationConfig, plan: OperationPlan, checked: np.ndarray
+) -> np.ndarray:
     """Flip position floor(u x domain) for each injected op's uniform draw u.
 
     The domain is the word width; with ``inject_check_zone`` it also
-    covers the stored check of operations the strategy checks, so the
-    positions depend on the strategy while the plan does not.
+    covers the stored check of the injected ops the strategy checks
+    (``checked``), so the positions depend on the strategy while the
+    plan does not.
     """
     w = config.word_width
     domain = np.full(len(plan.bit_draws), w, dtype=np.uint16)
     if config.inject_check_zone:
         # Faults may land in the stored check of a checked operation;
         # positions >= width address the check payload.
-        checked = _checked_mask(config.strategy, plan.priority[plan.injected])
         domain[checked] += get_codec(config.codec).check_bits(w)
     return np.floor(plan.bit_draws * domain).astype(np.uint16)
 
@@ -426,10 +424,12 @@ def run_simulation(
 ) -> tuple[SimulationReport, Optional[RecordSet]]:
     """Execute one run; returns the aggregate report and the records.
 
-    ``engine="fast"`` evaluates the plan directly (codec verification
-    still runs for every injected operation); ``engine="store"`` drives
-    every operation through a real protected store, as the fast engine's
-    oracle and for state dumps.  Both produce identical records.
+    An engine decides only which injected flips were caught; the step
+    total, the report and the records follow from the plan, the strategy
+    and those flags, and are built here for both engines.
+    ``engine="fast"`` verifies each injected op's word alone with the
+    codec; ``engine="store"`` drives every operation through a real
+    protected store, as the fast engine's oracle and for state dumps.
     With ``keep_records=False`` only the report is built.  Passing a
     list as ``capture_store`` appends the finished store after a
     store-engine run, for state dumps and audits.  A ``plan`` from
@@ -444,86 +444,71 @@ def run_simulation(
         raise ValueError(
             f"plan has width {plan.word_width}, config has word_width={config.word_width}"
         )
-    bits = _flip_positions(config, plan)
+    unflagged, flagged = _CHECKED_BY_PRIORITY[config.strategy]
+    checked = np.where(plan.priority[plan.injected], flagged, unflagged)
+    bits = _flip_positions(config, plan, checked)
     if engine == "fast":
         if capture_store is not None:
             raise ValueError("state capture requires the store engine")
-        return _run_fast(config, plan, bits, keep_records)
-    if engine == "store":
-        return _run_store(config, plan, bits, keep_records, capture_store)
-    raise ValueError(f"unknown engine {engine!r}")
+        detected = _detect_fast(config, plan, bits, checked)
+    elif engine == "store":
+        detected = _detect_store(config, plan, bits, capture_store)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
 
-
-def _report(
-    config: SimulationConfig,
-    engine: str,
-    priority_count: int,
-    injected: int,
-    detected: int,
-    total_steps: int,
-) -> SimulationReport:
-    miss = None if injected == 0 else 1.0 - detected / injected
+    n, priority_count = config.n_ops, plan.priority_count
+    steps = tuple(step_cost(config.strategy, pri, config.word_width) for pri in (False, True))
+    injected, caught = len(plan.injected), sum(detected)
     totals = Totals(
-        ops=config.n_ops,
+        ops=n,
         priority_ops=priority_count,
         errors_injected=injected,
-        errors_detected=detected,
-        miss_rate=miss,
-        total_steps=total_steps,
+        errors_detected=caught,
+        miss_rate=None if injected == 0 else 1.0 - caught / injected,
+        total_steps=(n - priority_count) * steps[0] + priority_count * steps[1],
     )
-    return SimulationReport(config=config, totals=totals, engine=engine)
-
-
-def _verify_injected_op(
-    codec, word: Word, bit: int, checked: bool, width: int
-) -> bool:
-    """Detection outcome for one injected flip, via the real codec."""
-    if not checked:
-        return False
-    check = codec.encode(word)
-    if bit < width:
-        return not codec.verify(flip_bit(word, bit), check).valid
-    return not codec.verify(word, check.flip_payload_bit(bit - width)).valid
-
-
-def _run_fast(config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, keep_records: bool):
-    n, w = config.n_ops, config.word_width
-    codec = get_codec(config.codec)
-    b = baseline_steps(w)
-    checked_count = {Strategy.NONE: 0, Strategy.ENHANCED: plan.priority_count, Strategy.FULL: n}
-    total_steps = n * b + checked_count[config.strategy] * (b + 2)
-
-    hit_checked = _checked_mask(config.strategy, plan.priority[plan.injected]).tolist()
-    words = plan.words_at(plan.injected).tolist()
-    detected_bits = [
-        _verify_injected_op(codec, Word(word, w), bit, checked, w)
-        for word, bit, checked in zip(words, bits.tolist(), hit_checked)
-    ]
-
     records = None
     if keep_records:
         records = RecordSet(
             config.strategy,
             plan.priority,
-            _steps_by_priority(config),
+            steps,
             plan.injected,
             bits,
-            np.array(detected_bits, dtype=bool),
+            np.array(detected, dtype=bool),
         )
-
-    report = _report(
-        config, "fast", plan.priority_count, len(plan.injected), sum(detected_bits), total_steps
-    )
-    return report, records
+    return SimulationReport(config=config, totals=totals, engine=engine), records
 
 
-def _run_store(
+def _detect_fast(
+    config: SimulationConfig, plan: OperationPlan, bits: np.ndarray, checked: np.ndarray
+) -> list[bool]:
+    """Whether each injected flip is caught, by the real codec on the op's word alone."""
+    w = config.word_width
+    codec = get_codec(config.codec)
+    detected = []
+    for value, bit, is_checked in zip(
+        plan.words_at(plan.injected).tolist(), bits.tolist(), checked.tolist()
+    ):
+        if not is_checked:
+            detected.append(False)
+            continue
+        word = Word(value, w)
+        check = codec.encode(word)
+        if bit < w:
+            detected.append(not codec.verify(flip_bit(word, bit), check).valid)
+        else:
+            detected.append(not codec.verify(word, check.flip_payload_bit(bit - w)).valid)
+    return detected
+
+
+def _detect_store(
     config: SimulationConfig,
     plan: OperationPlan,
     bits: np.ndarray,
-    keep_records: bool,
-    capture_store: Optional[list] = None,
-):
+    capture_store: Optional[list],
+) -> list[bool]:
+    """Whether each injected flip is caught, by a store that writes, corrupts and reads every op."""
     n, w = config.n_ops, config.word_width
     store = ProtectedStore(
         codec=config.codec,
@@ -554,24 +539,9 @@ def _run_store(
             # A record set has no row for this: an op without a flip must
             # read back as written.
             raise RuntimeError(f"op {i} was not injected but read back INVALID")
-    steps = _steps_by_priority(config)
-
-    report = _report(
-        config,
-        "store",
-        plan.priority_count,
-        len(plan.injected),
-        sum(detected),
-        (n - plan.priority_count) * steps[False] + plan.priority_count * steps[True],
-    )
-    records = None
-    if keep_records:
-        records = RecordSet(
-            config.strategy, priority, steps, plan.injected, bits, np.array(detected, dtype=bool)
-        )
     if capture_store is not None:
         capture_store.append(store)
-    return report, records
+    return detected
 
 
 def run_comparison(
@@ -708,8 +678,8 @@ def complexity_audit(widths: tuple[int, ...] = (8, 16, 32)) -> ComplexityAuditRe
     per-word check storage at each width.  Odd widths round the
     traversal up, so exact linearity holds for same-parity width sets.
     """
-    if len(widths) < 3:
-        raise ValueError("complexity audit needs runs at >= 3 word widths")
+    if len(set(widths)) < 3:
+        raise ValueError("complexity audit needs runs at >= 3 distinct word widths")
     per_op = []
     bits = []
     for w in widths:

@@ -128,6 +128,19 @@ class TestSimulate:
         assert out == ""
         assert f"{cfg}:3: unknown key 'widht'" in err
 
+    def test_config_file_repeated_key_exits_one(self, tmp_path, capsys):
+        # Spellings that name one option repeat it too.
+        cfg = tmp_path / "run.cfg"
+        for text, where in [
+            ("seed = 1\nn = 900\nseed = 2\n", "3: duplicate key 'seed'"),
+            ("error-prob = 0.01\n# comment\n\nerror_prob = 0.02\n", "4: duplicate key 'error_prob'"),
+        ]:
+            cfg.write_text(text)
+            code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+            assert code == EXIT_ERROR
+            assert out == ""
+            assert f"{cfg}:{where} (first set on line 1)" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(["simulate", "--config", "/no/such/file.cfg"], capsys)
         assert code == EXIT_ERROR

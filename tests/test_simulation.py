@@ -53,6 +53,8 @@ class TestStepCost:
             ("none", False, 5, 3),
             ("full", False, 5, 8),
             ("enhanced", True, 16, 18),
+            ("enhanced", np.bool_(True), 8, 10),
+            ("enhanced", 2, 8, 10),
         ],
     )
     def test_per_operation_costs(self, strategy, priority, width, expected):
@@ -722,8 +724,9 @@ class TestComplexityAudit:
         assert result.check_bits_constant
 
     def test_needs_at_least_three_widths(self):
-        with pytest.raises(ValueError):
-            complexity_audit(widths=(8, 16))
+        for widths in ((8, 16), (8, 8, 8), (8, 8, 16)):
+            with pytest.raises(ValueError, match="3 distinct word widths"):
+                complexity_audit(widths=widths)
 
 
 @settings(max_examples=25, deadline=None)
