@@ -11,6 +11,7 @@ import argparse
 from collections import Counter
 
 from msms import (
+    DEFAULT_N_OPS,
     ERROR_COUNT_TOLERANCE,
     EXPECTED_ERROR_COUNT,
     Strategy,
@@ -21,7 +22,7 @@ from msms import (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=4_729_000, help="operations per run")
+    ap.add_argument("--n", type=int, default=DEFAULT_N_OPS, help="operations per run")
     ap.add_argument("--runs", type=int, default=100, help="number of seeds, starting at 0")
     ap.add_argument("--codec", default="parity")
     args = ap.parse_args()

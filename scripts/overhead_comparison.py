@@ -10,6 +10,7 @@ model rows next to them.
 import argparse
 
 from msms import (
+    DEFAULT_N_OPS,
     Strategy,
     baseline_steps,
     get_codec,
@@ -17,13 +18,14 @@ from msms import (
     SimulationConfig,
     theoretical_cost,
 )
+from msms.simulation import DEFAULT_PRIORITY_FRACTION, DEFAULT_WORD_WIDTH
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=4_729_000, help="operations per run")
-    ap.add_argument("--width", type=int, default=8)
-    ap.add_argument("--p-priority", type=float, default=0.15)
+    ap.add_argument("--n", type=int, default=DEFAULT_N_OPS, help="operations per run")
+    ap.add_argument("--width", type=int, default=DEFAULT_WORD_WIDTH)
+    ap.add_argument("--p-priority", type=float, default=DEFAULT_PRIORITY_FRACTION)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--codec", default="parity")
     args = ap.parse_args()

@@ -56,7 +56,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .codecs import CostDescriptor, get_codec
 from .faults import DEFAULT_ERROR_PROBABILITY, DEFAULT_N_OPS
-from .store import Address, ProtectedStore, ReadPolicy, Strategy, Validity
+from .store import CHECKED_BY_PRIORITY, Address, ProtectedStore, ReadPolicy, Strategy, Validity
 from .words import MAX_WIDTH, RandomSource, Word, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
@@ -318,23 +318,15 @@ def baseline_steps(word_width: int) -> int:
     return (word_width + 1) // 2
 
 
-# Whether a strategy checks an op without and with the priority flag.
-_CHECKED_BY_PRIORITY = {
-    Strategy.NONE: (False, False),
-    Strategy.ENHANCED: (False, True),
-    Strategy.FULL: (True, True),
-}
-
-
 def step_cost(strategy: Union[Strategy, str], priority: bool, word_width: int) -> int:
     """Steps one operation costs under a strategy.
 
-    Unchecked operations pay the baseline B = ceil(width/2); checked
-    ones pay B more for the check traversal plus two priority-bit steps.
-    ``priority`` is read by its truth value.
+    Unchecked operations (see ``CHECKED_BY_PRIORITY``) pay the baseline
+    B = ceil(width/2); checked ones pay B more for the check traversal
+    plus two priority-bit steps.  ``priority`` is read by its truth value.
     """
     b = baseline_steps(word_width)
-    return 2 * b + 2 if _CHECKED_BY_PRIORITY[Strategy(strategy)][bool(priority)] else b
+    return 2 * b + 2 if CHECKED_BY_PRIORITY[Strategy(strategy)][bool(priority)] else b
 
 
 def _uniforms(
@@ -444,7 +436,7 @@ def run_simulation(
         raise ValueError(
             f"plan has width {plan.word_width}, config has word_width={config.word_width}"
         )
-    unflagged, flagged = _CHECKED_BY_PRIORITY[config.strategy]
+    unflagged, flagged = CHECKED_BY_PRIORITY[config.strategy]
     checked = np.where(plan.priority[plan.injected], flagged, unflagged)
     bits = _flip_positions(config, plan, checked)
     if engine == "fast":
@@ -628,7 +620,7 @@ def theoretical_cost(
     formula, baseline + P x technique-row; the ``weighted`` alternative
     (1-P) x baseline + P x technique-row is available for comparison,
     since the additive form charges the baseline twice for priority
-    operations.
+    operations.  A negative ``base`` entry raises ``ValueError``.
     """
     p = _as_fraction(priority_fraction)
     if not 0 <= p <= 1:
@@ -636,6 +628,8 @@ def theoretical_cost(
     if formula not in ("additive", "weighted"):
         raise ValueError(f"unknown formula {formula!r}")
     base_t, base_s = (_as_fraction(x) for x in base)
+    if base_t < 0 or base_s < 0:
+        raise ValueError(f"base time and space must be non-negative, got {base}")
     tech_t = base_t * _as_fraction(technique.time_multiplier)
     tech_s = base_s * _as_fraction(technique.space_multiplier)
     if formula == "additive":

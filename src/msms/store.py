@@ -7,7 +7,8 @@ the public operations hand out a mutable reference into any zone;
 inspection helpers return copies or immutable values.
 
 Three protection strategies control when a write stores check data and
-when a read verifies it:
+when a read verifies it.  :data:`CHECKED_BY_PRIORITY` is that rule, for
+the store and the simulation alike:
 
 * ``none``      - never; reads come back unverified.
 * ``enhanced``  - only operations classified as priority.
@@ -56,6 +57,14 @@ class Strategy(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Whether a strategy checks a word without and with the priority flag.
+CHECKED_BY_PRIORITY = {
+    Strategy.NONE: (False, False),
+    Strategy.ENHANCED: (False, True),
+    Strategy.FULL: (True, True),
+}
 
 
 class ReadPolicy(str, Enum):
@@ -285,7 +294,7 @@ class AuditLog:
         address: Optional[Address] = None,
         detail: Optional[dict[str, Any]] = None,
     ) -> None:
-        if not detail:
+        if detail is None:
             detail_json = "{}"
         elif isinstance(detail, dict):
             detail_json = canonical_json(detail)
@@ -418,6 +427,7 @@ class ProtectedStore:
             raise ValueError("words_per_page must be positive")
         self.codec = get_codec(codec)
         self.strategy = Strategy(strategy)
+        self._checked = CHECKED_BY_PRIORITY[self.strategy]
         self.read_policy = ReadPolicy(read_policy)
         self.word_width = word_width
         self.words_per_page = words_per_page
@@ -451,7 +461,7 @@ class ProtectedStore:
         # strategy does with it; check storage is the strategy's call.
         if priority:
             self._set_flag(addr)
-        protect = self._protects(priority, addr)
+        protect = self._checked[self._flags.get(addr, 0) == 1]
         if protect:
             self._checks[addr] = self.codec.encode(word)
         self._log.append(AuditEvent.WRITE, addr, {"priority": bool(priority), "protected": protect})
@@ -481,12 +491,13 @@ class ProtectedStore:
     def set_priority(self, addr: Address) -> None:
         """Flag an address as critical.  Idempotent; never reversible.
 
-        Under an active strategy the current word is snapshotted into
-        the check zone so the very next read can already verify.
+        Under a strategy that checks flagged words the current word is
+        snapshotted into the check zone so the very next read can already
+        verify.
         """
         word = self._resolve_word(addr)
         self._set_flag(addr)
-        if self.strategy is not Strategy.NONE and addr not in self._checks:
+        if self._checked[True] and addr not in self._checks:
             self._checks[addr] = self.codec.encode(word)
         self._log.append(AuditEvent.FLAG_SET, addr)
 
@@ -654,13 +665,6 @@ class ProtectedStore:
     def _check_addr(self, addr: Address) -> None:
         if addr.page < 0 or not 0 <= addr.offset < self.words_per_page:
             raise ValueError(f"address {addr} out of range (words_per_page={self.words_per_page})")
-
-    def _protects(self, priority: bool, addr: Address) -> bool:
-        if self.strategy is Strategy.FULL:
-            return True
-        if self.strategy is Strategy.ENHANCED:
-            return bool(priority) or self._flags.get(addr, 0) == 1
-        return False
 
     def _set_flag(self, addr: Address) -> None:
         self._raw_set_flag(addr, 1)

@@ -290,9 +290,17 @@ def test_append_keeps_its_own_copy_of_the_detail():
     assert log.to_dicts()[0]["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1]}
 
 
-def test_append_rejects_a_detail_that_is_not_a_dict():
-    with pytest.raises(TypeError):
-        AuditLog().append(AuditEvent.MERGE, None, [("freed", 1)])
+@pytest.mark.parametrize(
+    "detail",
+    [[("freed", 1)], 0, "", [], False, ()],
+    ids=["list-of-pairs", "zero", "empty-str", "empty-list", "false", "empty-tuple"],
+)
+def test_append_rejects_a_detail_that_is_not_a_dict(detail):
+    # Only None stands for "no detail"; a falsy non-dict is not logged as {}.
+    log = AuditLog()
+    with pytest.raises(TypeError, match="audit detail must be a dict"):
+        log.append(AuditEvent.MERGE, None, detail)
+    assert len(log) == 0
 
 
 def test_live_verify_recomputes_every_digest():

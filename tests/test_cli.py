@@ -296,6 +296,12 @@ class TestCostModel:
         assert code == EXIT_ERROR
         assert "[0, 1]" in err
 
+    def test_negative_base_rejected(self, capsys):
+        code, out, err = run(["cost-model", "--base-time", "-5"], capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "must be non-negative" in err
+
 
 class TestAttack:
     def test_undefended_attack_exits_two(self, capsys):

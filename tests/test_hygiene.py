@@ -101,6 +101,14 @@ def test_readme_names_resolve():
     assert unresolved_readme_names(README.read_text()) == []
 
 
+def test_readme_library_tour_runs():
+    tour = re.search(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M).group(1)
+    namespace = {}
+    exec(tour, namespace)
+    assert namespace["validity"] is msms.Validity.INVALID
+    assert isinstance(namespace["outcome"], msms.ScenarioOutcome)
+
+
 def test_the_lint_sees_a_stale_readme_name():
     text = (
         "Call `store.gone()` or `gone_too()[-1]` on a `StaleClass`; `ValueError`,\n"

@@ -686,6 +686,14 @@ class TestCostModel:
         assert result.combined.time_units == 100 + p * 300
         assert result.combined.space_units == 100 + p * 400
 
+    def test_negative_base_rejected(self):
+        # A negative baseline would price the technique below no technique.
+        for base in [(-5, 100), (100, -1)]:
+            with pytest.raises(ValueError, match="must be non-negative"):
+                theoretical_cost(0.15, CostDescriptor(3, 4), base=base)
+        zero = theoretical_cost(0.15, CostDescriptor(3, 4), base=(0, 0))
+        assert (zero.combined.time_units, zero.combined.space_units) == (0, 0)
+
     @pytest.mark.parametrize("p", [-0.01, 1.01, 2])
     def test_priority_fraction_bounds(self, p):
         with pytest.raises(ValueError):

@@ -71,6 +71,11 @@ class TestReadWrite:
         with pytest.raises(ValueError, match=rf"word_width must be in \[1, {MAX_WIDTH}\]"):
             make_store(word_width=width)
 
+    @pytest.mark.parametrize("words_per_page", [0, -1])
+    def test_words_per_page_must_be_positive(self, words_per_page):
+        with pytest.raises(ValueError, match="words_per_page must be positive"):
+            make_store(words_per_page=words_per_page)
+
     @pytest.mark.parametrize("bit", [-1, 8])
     def test_data_bit_outside_the_width_rejected(self, bit):
         store = make_store(word_width=8)
@@ -168,6 +173,22 @@ class TestPriorityFlag:
         store.corrupt_data_bit(Address(0, 0), 3)
         assert store.store_read(Address(0, 0)).validity is Validity.INVALID
 
+    def test_set_priority_under_none_stores_no_check(self):
+        store = make_store(strategy=Strategy.NONE)
+        store.store_write(Address(0, 0), Word(9, 8))
+        store.set_priority(Address(0, 0))
+        assert store.flag(Address(0, 0)) == 1
+        assert store.check_for(Address(0, 0)) is None
+
+    @pytest.mark.parametrize("strategy", [Strategy.ENHANCED, Strategy.FULL])
+    def test_set_priority_keeps_the_stored_check(self, strategy):
+        # Snapshotting again would take the corrupted word as the truth.
+        store = make_store(strategy=strategy)
+        store.store_write(Address(0, 0), Word(9, 8), priority=True)
+        store.corrupt_data_bit(Address(0, 0), 3)
+        store.set_priority(Address(0, 0))
+        assert store.store_read(Address(0, 0)).validity is Validity.INVALID
+
     def test_flag_survives_non_priority_rewrite(self):
         store = make_store()
         store.store_write(Address(0, 0), Word(9, 8), priority=True)
@@ -206,6 +227,36 @@ class TestCheckZoneIsolation:
         store = make_store()
         with pytest.raises(MissingAddressError):
             store.corrupt_data_bit(Address(0, 0), 0)
+
+    def test_check_corruption_requires_a_stored_check(self):
+        # An unflagged word under enhanced has no check to flip.
+        store = make_store(allow_check_zone_faults=True)
+        store.store_write(Address(0, 0), Word(1, 8))
+        with pytest.raises(MissingAddressError, match="no check stored for 0:0"):
+            store.corrupt_check_bit(Address(0, 0), 0)
+
+
+class TestPhysicalFaults:
+    def test_flip_requires_a_live_physical_page(self):
+        store = make_store()
+        with pytest.raises(MissingAddressError, match="physical page 0"):
+            store.corrupt_physical_bit(0, 0, 0)
+
+    @pytest.mark.parametrize("offset", [-1, 8])
+    def test_offset_outside_the_page_rejected(self, offset):
+        store = make_store(words_per_page=8)
+        store.store_write(Address(0, 0), Word(1, 8))
+        with pytest.raises(IndexError, match=f"offset {offset} out of range"):
+            store.corrupt_physical_bit(0, offset, 0)
+        assert store.physical_words(0) == (1, 0, 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("bit", [-1, 8])
+    def test_bit_outside_the_width_rejected(self, bit):
+        store = make_store(word_width=8)
+        store.store_write(Address(0, 0), Word(1, 8))
+        with pytest.raises(IndexError, match=f"bit {bit} out of range for width 8"):
+            store.corrupt_physical_bit(0, 0, bit)
+        assert store.physical_words(0)[0] == 1
 
 
 class TestDedupAndCow:

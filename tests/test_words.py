@@ -83,6 +83,11 @@ class TestRandomSource:
         a, b = RandomSource(1), RandomSource(2)
         assert [a.bit_index(64) for _ in range(20)] != [b.bit_index(64) for _ in range(20)]
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_bit_index_rejects_a_width_below_one(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            RandomSource(0).bit_index(width)
+
     def test_bit_index_stays_in_range(self):
         rng = RandomSource(7)
         assert all(0 <= rng.bit_index(5) < 5 for _ in range(500))
