@@ -41,7 +41,7 @@ from enum import Enum
 from typing import Any, Iterable, NamedTuple, Optional
 
 from ._version import __version__ as _version
-from .codecs import CodecCheck, get_codec
+from .codecs import CodecCheck, CodecId, get_codec
 from .words import MAX_WIDTH, Word
 
 DEFAULT_WORDS_PER_PAGE = 512
@@ -168,12 +168,13 @@ class PageTable:
 # -- the two encodings of a log entry ------------------------------------------
 #
 # An entry's chain digest is the sha256 of the entry without ``digest_self``
-# in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``,
-# built here by hand for the value types the store logs (str, bool, plain int,
-# None, a flat dict with str keys, a list of plain ints) and left to json.dumps
-# for anything else (floats, int subclasses, nested values, whatever a
-# tampered dump holds), so it equals json.dumps byte for byte.  A state dump
-# writes the entry as ``json.dumps(state, indent=2)`` does;
+# in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
+# _chain_digest is the one template of that payload; its callers encode the
+# fields by hand for the value types the store logs (str, bool, plain int,
+# None, a flat dict with str keys, a list of plain ints) and leave anything
+# else to json.dumps (floats, int subclasses, nested values, whatever a
+# tampered dump holds), so the payload equals json.dumps byte for byte.  A
+# state dump writes the entry as ``json.dumps(state, indent=2)`` does;
 # AuditLog.indented_entries fills an indent-2 template from the log's columns.
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -219,8 +220,11 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _chain_digest(address: str, detail: str, digest_prev: str, event: str, sequence: str) -> str:
-    """sha256 of an entry from the canonical JSON of its five fields."""
+def _chain_digest(address: str, detail: str, digest_prev: str, event: str, sequence: Any) -> str:
+    """sha256 of an entry from the canonical JSON of its five fields.
+
+    ``sequence`` may also be a plain int, whose ``str`` is its JSON.
+    """
     payload = (
         f'{{"address":{address},"detail":{detail},"digest_prev":{digest_prev},'
         f'"event":{event},"sequence":{sequence}}}'
@@ -245,25 +249,39 @@ def _entry_digest(
 
 
 _EVENT_JSON = {event: _encode_str(event.value) for event in AuditEvent}
+_CODEC_JSON = {codec_id: _encode_str(codec_id.value) for codec_id in CodecId}
+_GENESIS_JSON = f'"{GENESIS}"'
 
 
-def _column_digest(
-    sequence: int, event: AuditEvent, address: Optional[str], detail_json: str, digest_prev: str
-) -> str:
-    """sha256 of an entry as :class:`AuditLog` stores it."""
-    return _chain_digest(
-        "null" if address is None else _encode_str(address),
-        detail_json,
-        f'"{digest_prev}"',
-        _EVENT_JSON[event],
-        str(sequence),
+class _CanonicalDetail(str):
+    """A detail's canonical JSON, which AuditLog.append takes as it is.
+
+    Only this module makes them, from :func:`canonical_json` of the dict
+    they stand for; a public caller hands ``append`` the dict.
+    """
+
+
+# The detail of every WRITE entry, by (priority, protected).
+_WRITE_DETAILS = {
+    (priority, protected): _CanonicalDetail(
+        canonical_json({"priority": priority, "protected": protected})
     )
+    for priority in (False, True)
+    for protected in (False, True)
+}
+
+# Stands in for a zone while json.dumps writes the rest of a state dump.  No
+# other string the store dumps holds a NUL, so the slot occurs only where it
+# stands in: for the check, priority and log zones, in that order.
+_ZONE_PLACEHOLDER = "\0msms zone\0"
+_ZONE_SLOT = _encode_str(_ZONE_PLACEHOLDER)
 
 
-# Stands in for the log while json.dumps writes the rest of a state dump.  No
-# other string the store dumps holds a NUL, so the slot occurs exactly once.
-_LOG_PLACEHOLDER = "\0msms audit log\0"
-_LOG_SLOT = _encode_str(_LOG_PLACEHOLDER)
+def _indented(opening: str, items: list[str], closing: str) -> str:
+    """A zone's indent-2 text at a depth of two, from its items' texts."""
+    if not items:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(items) + f"\n    {closing}"
 
 
 class AuditLog:
@@ -294,20 +312,35 @@ class AuditLog:
         address: Optional[Address] = None,
         detail: Optional[dict[str, Any]] = None,
     ) -> None:
+        """Commit one entry: its detail's canonical JSON and one sha256.
+
+        ``detail`` is a dict or None (logged as ``{}``); any other type
+        raises ``TypeError``.  The store's own WRITE details come
+        pre-encoded from :data:`_WRITE_DETAILS`.
+        """
         if detail is None:
             detail_json = "{}"
+        elif type(detail) is _CanonicalDetail:
+            detail_json = detail
         elif isinstance(detail, dict):
             detail_json = canonical_json(detail)
         else:
             raise TypeError(f"audit detail must be a dict, not {type(detail).__name__}")
         addr = None if address is None else str(address)
-        sequence = len(self._digests)
-        prev = self._digests[-1] if sequence else GENESIS
-        digest = _column_digest(sequence, event, addr, detail_json, prev)
+        digests = self._digests
+        sequence = len(digests)
+        digests.append(
+            _chain_digest(
+                "null" if addr is None else _encode_str(addr),
+                detail_json,
+                f'"{digests[-1]}"' if sequence else _GENESIS_JSON,
+                _EVENT_JSON[event],
+                sequence,
+            )
+        )
         self._events.append(event)
         self._addresses.append(addr)
         self._details.append(detail_json)
-        self._digests.append(digest)
 
     def to_dicts(self, start: int = 0) -> list[dict[str, Any]]:
         """The entries from sequence ``start`` on, as a state dump's ``zones.log`` holds them.
@@ -348,12 +381,11 @@ class AuditLog:
             prev = digest
         return dicts
 
-    def indented_entries(self) -> str:
-        """The entries as a state dump's ``zones.log`` list holds them.
+    def indented_entries(self) -> list[str]:
+        """The texts of the entries as a state dump's ``zones.log`` list holds them.
 
-        The text is that of ``json.dumps(self.to_dicts(), indent=2)`` at a
-        depth of two, without its brackets.  Each distinct detail is
-        indented once.
+        Each is the text of its dict in ``json.dumps(self.to_dicts(), indent=2)``
+        at a depth of two.  Each distinct detail is indented once.
         """
         details: dict[str, str] = {}
         parts = []
@@ -375,7 +407,7 @@ class AuditLog:
                 "      }"
             )
             prev = digest
-        return ",\n".join(parts)
+        return parts
 
 
 def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
@@ -386,12 +418,28 @@ def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optiona
     """
     prev = GENESIS
     for position, e in enumerate(entries):
-        if not isinstance(e["detail"], dict):
+        detail = e["detail"]
+        if not isinstance(detail, dict):
             raise TypeError(f"the detail of entry {position} is not a JSON object")
-        recomputed = _entry_digest(
-            e["sequence"], e["event"], e["address"], e["detail"], e["digest_prev"]
-        )
-        if e["digest_prev"] != prev or recomputed != e["digest_self"] or e["sequence"] != position:
+        sequence, event, address, digest_prev = e["sequence"], e["event"], e["address"], e["digest_prev"]
+        # The types a dump of the store holds go straight into the template;
+        # any other value is encoded as json.dumps would, subclasses included.
+        if (
+            type(sequence) is int
+            and type(event) is str
+            and type(digest_prev) is str
+            and (address is None or type(address) is str)
+        ):
+            recomputed = _chain_digest(
+                "null" if address is None else _encode_str(address),
+                canonical_json(detail),
+                _encode_str(digest_prev),
+                _encode_str(event),
+                sequence,
+            )
+        else:
+            recomputed = _entry_digest(sequence, event, address, detail, digest_prev)
+        if digest_prev != prev or recomputed != e["digest_self"] or sequence != position:
             return False, position
         prev = e["digest_self"]
     return True, None
@@ -464,7 +512,7 @@ class ProtectedStore:
         protect = self._checked[self._flags.get(addr, 0) == 1]
         if protect:
             self._checks[addr] = self.codec.encode(word)
-        self._log.append(AuditEvent.WRITE, addr, {"priority": bool(priority), "protected": protect})
+        self._log.append(AuditEvent.WRITE, addr, _WRITE_DETAILS[bool(priority), protect])
 
     def store_read(self, addr: Address) -> ReadResult:
         """Fetch a word and, where the strategy calls for it, verify it.
@@ -613,19 +661,50 @@ class ProtectedStore:
 
     def dump_state(self) -> dict[str, Any]:
         """JSON-ready snapshot with each zone listed separately."""
-        return self._state(self._log.to_dicts())
+        return self._state(
+            {
+                str(addr): {"codec": c.codec_id.value, "payload": c.payload_str}
+                for addr, c in sorted(self._checks.items())
+            },
+            {str(addr): flag for addr, flag in sorted(self._flags.items())},
+            self._log.to_dicts(),
+        )
 
     def dump_text(self) -> str:
         """The state dump as a file holds it.
 
         The text is exactly ``json.dumps(self.dump_state(), indent=2) + "\\n"``.
-        The log is written from its columns, the other zones by json.dumps.
+        The check, priority and log zones are written from indent-2
+        templates, the metadata, data and page-table zones by json.dumps.
         """
-        head, tail = json.dumps(self._state(_LOG_PLACEHOLDER), indent=2).split(_LOG_SLOT)
-        log = f"[\n{self._log.indented_entries()}\n    ]" if len(self._log) else "[]"
-        return f"{head}{log}{tail}\n"
+        head, after_check, after_priority, tail = json.dumps(
+            self._state(_ZONE_PLACEHOLDER, _ZONE_PLACEHOLDER, _ZONE_PLACEHOLDER), indent=2
+        ).split(_ZONE_SLOT)
+        checks = [
+            f"      {_encode_str(str(addr))}: {{\n"
+            f'        "codec": {_CODEC_JSON[c.codec_id]},\n'
+            f'        "payload": "{c.payload_str}"\n'
+            "      }"
+            for addr, c in sorted(self._checks.items())
+        ]
+        flags = [
+            f"      {_encode_str(str(addr))}: {flag}"
+            for addr, flag in sorted(self._flags.items())
+        ]
+        return "".join(
+            [
+                head,
+                _indented("{", checks, "}"),
+                after_check,
+                _indented("{", flags, "}"),
+                after_priority,
+                _indented("[", self._log.indented_entries(), "]"),
+                tail,
+                "\n",
+            ]
+        )
 
-    def _state(self, log: Any) -> dict[str, Any]:
+    def _state(self, check: Any, priority: Any, log: Any) -> dict[str, Any]:
         # Most words of a page repeat (an unwritten word is 0), so each
         # distinct value is formatted once per dump.
         bits = {v: format(v, f"0{self.word_width}b") for v in set().union(*self._pages.values())}
@@ -651,11 +730,8 @@ class ProtectedStore:
                     },
                     "page_table": {str(vp): row for vp, row in self.page_table_view().items()},
                 },
-                "check": {
-                    str(addr): {"codec": c.codec_id.value, "payload": c.payload_str}
-                    for addr, c in sorted(self._checks.items())
-                },
-                "priority": {str(addr): flag for addr, flag in sorted(self._flags.items())},
+                "check": check,
+                "priority": priority,
                 "log": log,
             },
         }

@@ -13,8 +13,20 @@ from enum import IntEnum
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from msms import Address, AuditEvent, ProtectedStore, Strategy, Word, codec_names, verify_entry_dicts
-from msms.store import GENESIS, AuditLog, canonical_json
+from msms import (
+    Address,
+    AuditEvent,
+    ProtectedStore,
+    RandomSource,
+    SimulationConfig,
+    Strategy,
+    Word,
+    codec_names,
+    flip_feng_shui_scenario,
+    run_simulation,
+    verify_entry_dicts,
+)
+from msms.store import _WRITE_DETAILS, GENESIS, AuditLog, canonical_json
 
 
 def reference_verify(entries):
@@ -57,6 +69,31 @@ def outcome(verify, entries):
 
 class Small(IntEnum):
     ONE = 1
+
+
+class Position(IntEnum):
+    """A sequence number whose text is not its JSON."""
+
+    FIRST = 0
+    SECOND = 1
+    THIRD = 2
+    FOURTH = 3
+
+    def __str__(self):
+        return self.name
+
+    def __format__(self, spec):
+        return self.name
+
+
+class Text(str):
+    """A str whose text is not its JSON."""
+
+    def __str__(self):
+        return "tampered"
+
+    def __format__(self, spec):
+        return "tampered"
 
 
 texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
@@ -121,9 +158,11 @@ def test_dump_writer_on_a_store_with_every_event():
     assert store.dump_text() == json.dumps(state, indent=2) + "\n"
 
 
-def _store_walk(codec, strategy, width, words_per_page, seed, n_ops):
+def _store_walk(codec, strategy, width, words_per_page, seed, n_ops, span=(6, 3)):
     """A seeded walk over every store operation and fault.  Values come
-    mostly from {0, 1}, so pages merge and later writes break the sharing."""
+    mostly from {0, 1}, so pages merge and later writes break the sharing.
+    ``span`` bounds the pages and the offsets the walk writes."""
+    pages, offsets = span
     rng = random.Random(seed)
     store = ProtectedStore(
         codec=codec,
@@ -136,7 +175,7 @@ def _store_walk(codec, strategy, width, words_per_page, seed, n_ops):
     for _ in range(n_ops):
         roll = rng.random()
         if roll < 0.45 or not written:
-            addr = Address(rng.randrange(6), rng.randrange(min(words_per_page, 3)))
+            addr = Address(rng.randrange(pages), rng.randrange(min(words_per_page, offsets)))
             value = rng.choice([0, 1, 1, rng.getrandbits(width)])
             store.store_write(addr, Word(value, width), priority=rng.random() < 0.3)
             written.append(addr)
@@ -147,7 +186,7 @@ def _store_walk(codec, strategy, width, words_per_page, seed, n_ops):
         elif roll < 0.72:
             store.dedup_scan()
         elif roll < 0.75:
-            store.protect_page(rng.randrange(6))
+            store.protect_page(rng.randrange(pages))
         elif roll < 0.83:
             store.corrupt_data_bit(rng.choice(written), rng.randrange(width))
         elif roll < 0.91:
@@ -173,6 +212,29 @@ def _store_walk(codec, strategy, width, words_per_page, seed, n_ops):
 @example(codec="parity", strategy=Strategy.ENHANCED, width=8, words_per_page=512, seed=0, n_ops=0)
 def test_dump_text_equals_json_dumps_of_the_dump(codec, strategy, width, words_per_page, seed, n_ops):
     store = _store_walk(codec, strategy, width, words_per_page, seed, n_ops)
+    assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
+
+
+def _numeric_order(keys):
+    return sorted(keys, key=lambda key: tuple(map(int, key.split(":"))))
+
+
+@pytest.mark.parametrize("codec", ["parity", "none"])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_dump_zones_list_addresses_in_numeric_order(strategy, codec):
+    # Pages and offsets reach 10 and more, where "10:0" < "9:0" and "1:10" < "1:9" as strings.
+    store = _store_walk(codec, strategy, 8, 16, seed=11, n_ops=400, span=(14, 14))
+    zones = store.dump_state()["zones"]
+    flags = list(zones["priority"])
+    assert flags == _numeric_order(flags) != sorted(flags)
+    checks = list(zones["check"])
+    assert checks == _numeric_order(checks)
+    if strategy is Strategy.NONE:
+        assert checks == []
+    else:
+        assert checks != sorted(checks)
+        payloads = {check["payload"] for check in zones["check"].values()}
+        assert (payloads == {""}) == (codec == "none")
     assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
 
 
@@ -216,6 +278,10 @@ TAMPERINGS = {
     "missing-event": lambda e: e.pop("event"),
     "missing-digest-self": lambda e: e.pop("digest_self"),
     "int-digest-prev": lambda e: e.update(digest_prev=0),
+    "intenum-sequence": lambda e: e.update(sequence=Position(e["sequence"])),
+    "str-subclass-event": lambda e: e.update(event=Text(e["event"])),
+    "str-subclass-address": lambda e: e.update(address=Text(e["address"] or "0:0")),
+    "str-subclass-digest-prev": lambda e: e.update(digest_prev=Text(e["digest_prev"])),
 }
 
 
@@ -292,15 +358,50 @@ def test_append_keeps_its_own_copy_of_the_detail():
 
 @pytest.mark.parametrize(
     "detail",
-    [[("freed", 1)], 0, "", [], False, ()],
-    ids=["list-of-pairs", "zero", "empty-str", "empty-list", "false", "empty-tuple"],
+    [[("freed", 1)], 0, "", [], False, (), '{"priority":false,"protected":false}'],
+    ids=["list-of-pairs", "zero", "empty-str", "empty-list", "false", "empty-tuple", "canonical-str"],
 )
 def test_append_rejects_a_detail_that_is_not_a_dict(detail):
-    # Only None stands for "no detail"; a falsy non-dict is not logged as {}.
+    # Only None stands for "no detail"; a falsy non-dict is not logged as {},
+    # and a public str is not taken for a detail's canonical JSON.
     log = AuditLog()
     with pytest.raises(TypeError, match="audit detail must be a dict"):
         log.append(AuditEvent.MERGE, None, detail)
     assert len(log) == 0
+
+
+def test_pre_encoded_write_details_are_their_canonical_json():
+    assert sorted(_WRITE_DETAILS) == [(False, False), (False, True), (True, False), (True, True)]
+    for (priority, protected), text in _WRITE_DETAILS.items():
+        assert text == canonical_json({"priority": priority, "protected": protected})
+
+
+def test_every_entry_goes_through_append(monkeypatch):
+    # The benchmark's tracer counts log entries by wrapping AuditLog.append.
+    calls = []
+    append = AuditLog.append
+    monkeypatch.setattr(
+        AuditLog, "append", lambda log, *args, **kwargs: calls.append(1) or append(log, *args, **kwargs)
+    )
+    stores = []
+    for strategy in Strategy:
+        config = SimulationConfig(
+            n_ops=3000, per_op_probability=0.01, strategy=strategy, seed=4, inject_check_zone=True
+        )
+        run_simulation(config, engine="store", capture_store=stores)
+    rng = RandomSource(9)
+    victim = [rng.word(8) for _ in range(4)]
+    drill = ProtectedStore(strategy=Strategy.ENHANCED, words_per_page=4)
+    for offset, word in enumerate(victim):
+        drill.store_write(Address(0, offset), word, priority=offset == 0)
+    for page in range(1, 30):
+        drill.store_write(Address(page, 0), rng.word(8))
+    assert flip_feng_shui_scenario(drill, victim, Address(0, 0), rng=rng).flip_applied
+    stores.append(drill)
+
+    events = {e["event"] for store in stores for e in store.audit_entries()}
+    assert {"write", "read", "merge", "injected_fault", "integrity_failure"} <= events
+    assert len(calls) == sum(len(store.audit_entries()) for store in stores)
 
 
 def test_live_verify_recomputes_every_digest():

@@ -129,6 +129,12 @@ class TestStrategies:
         store.store_write(Address(0, 0), Word(5, 8), priority=True)
         assert store.flag(Address(0, 0)) == 1
 
+    def test_an_address_never_flagged_reads_flag_zero(self):
+        store = make_store(strategy=Strategy.FULL)
+        store.store_write(Address(0, 0), Word(5, 8))
+        assert store.flag(Address(0, 0)) == 0
+        assert store.flag(Address(0, 1)) == 0
+
 
 def corrupted_store(**kwargs):
     store = make_store(**kwargs)
