@@ -6,6 +6,11 @@ priority-flag zone, and an append-only hash-chained audit log.  None of
 the public operations hand out a mutable reference into any zone;
 inspection helpers return copies or immutable values.
 
+A physical page is an ``array("Q")``, one unsigned 64-bit machine word
+per stored word whatever the store's width.  Allocating, copying and
+comparing a page each cost one memcpy, and the garbage collector never
+scans a page's words.
+
 Three protection strategies control when a write stores check data and
 when a read verifies it.  :data:`CHECKED_BY_PRIORITY` is that rule, for
 the store and the simulation alike:
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, NamedTuple, Optional
@@ -169,55 +175,33 @@ class PageTable:
 #
 # An entry's chain digest is the sha256 of the entry without ``digest_self``
 # in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
-# _chain_digest is the one template of that payload; its callers encode the
-# fields by hand for the value types the store logs (str, bool, plain int,
-# None, a flat dict with str keys, a list of plain ints) and leave anything
-# else to json.dumps (floats, int subclasses, nested values, whatever a
-# tampered dump holds), so the payload equals json.dumps byte for byte.  A
+# _chain_digest is the one template of that payload.  Its callers encode a
+# str field with encode_basestring_ascii, a plain int by its str, and any
+# other field with canonical_json, which is json's own C encoder built once
+# with those settings, so the payload equals json.dumps byte for byte.  A
 # state dump writes the entry as ``json.dumps(state, indent=2)`` does;
 # AuditLog.indented_entries fills an indent-2 template from the log's columns.
 
 _encode_str = json.encoder.encode_basestring_ascii
 
-
-def _scalar_json(value: Any) -> Optional[str]:
-    """The JSON text of a value the store logs, or None for any other value."""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    t = type(value)
-    if t is int:
-        return int.__repr__(value)
-    if t is str:
-        return _encode_str(value)
-    if t is list and all(type(v) is int for v in value):
-        return "[" + ",".join(map(int.__repr__, value)) + "]"
-    return None
+# json.dumps' C encoder with its canonical settings, or None without the _json
+# accelerator.  It keeps no circular-reference markers: a cycle recurses until
+# the encoder fails, and canonical_json then lets json.dumps raise its ValueError.
+_c_canonical = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _encode_str, None, ":", ",", True, False, True
+)
 
 
 def canonical_json(value: Any) -> str:
-    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
-    t = type(value)
-    if t is str:
-        return _encode_str(value)
-    if t is dict:
-        parts = []
-        for key, item in value.items():
-            text = _scalar_json(item)
-            if type(key) is not str or text is None:
-                break
-            parts.append((key, text))
-        else:
-            parts.sort()
-            return "{" + ",".join([_encode_str(k) + ":" + text for k, text in parts]) + "}"
-    else:
-        text = _scalar_json(value)
-        if text is not None:
-            return text
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``.
+
+    Any failure of the C encoder, or its absence, is handed to json.dumps,
+    so the text and the exception are exactly json.dumps' own.
+    """
+    try:
+        return "".join(_c_canonical(value, 0))
+    except Exception:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _chain_digest(address: str, detail: str, digest_prev: str, event: str, sequence: Any) -> str:
@@ -248,7 +232,8 @@ def _entry_digest(
     return _chain_digest(a, d, p, e, canonical_json(sequence))
 
 
-_EVENT_JSON = {event: _encode_str(event.value) for event in AuditEvent}
+_EVENT_NAMES = {event: event.value for event in AuditEvent}
+_EVENT_JSON = {event: _encode_str(name) for event, name in _EVENT_NAMES.items()}
 _CODEC_JSON = {codec_id: _encode_str(codec_id.value) for codec_id in CodecId}
 _GENESIS_JSON = f'"{GENESIS}"'
 
@@ -314,10 +299,13 @@ class AuditLog:
     ) -> None:
         """Commit one entry: its detail's canonical JSON and one sha256.
 
-        ``detail`` is a dict or None (logged as ``{}``); any other type
-        raises ``TypeError``.  The store's own WRITE details come
-        pre-encoded from :data:`_WRITE_DETAILS`.
+        ``event`` is an :class:`AuditEvent` member and ``detail`` a dict or
+        None (logged as ``{}``); anything else raises ``TypeError``, a plain
+        str event included.  The store's own WRITE details come pre-encoded
+        from :data:`_WRITE_DETAILS`.
         """
+        if type(event) is not AuditEvent:
+            raise TypeError(f"audit event must be an AuditEvent, not {type(event).__name__}")
         if detail is None:
             detail_json = "{}"
         elif type(detail) is _CanonicalDetail:
@@ -371,7 +359,7 @@ class AuditLog:
             dicts.append(
                 {
                     "sequence": sequence,
-                    "event": event.value,
+                    "event": _EVENT_NAMES[event],
                     "address": addr,
                     "detail": detail,
                     "digest_prev": prev,
@@ -481,7 +469,7 @@ class ProtectedStore:
         self.words_per_page = words_per_page
         self.allow_check_zone_faults = allow_check_zone_faults
         # zones; reachable only through store operations
-        self._pages: dict[int, list[int]] = {}  # physical page -> words
+        self._pages: dict[int, array] = {}  # physical page -> its words, typecode "Q"
         self._table = PageTable()
         self._checks: dict[Address, CodecCheck] = {}
         self._flags: dict[Address, int] = {}
@@ -561,10 +549,10 @@ class ProtectedStore:
         page and the duplicates are freed; the survivor is now shared,
         so every mapping onto it is copy-on-write.
         """
-        groups: dict[tuple[int, ...], list[int]] = {}
+        groups: dict[bytes, list[int]] = {}
         for pid in sorted(self._pages):
             if self._table.protected.isdisjoint(self._table.sharers[pid]):
-                groups.setdefault(tuple(self._pages[pid]), []).append(pid)
+                groups.setdefault(self._pages[pid].tobytes(), []).append(pid)
 
         merged = 0
         for survivor, *dupes in groups.values():
@@ -751,7 +739,7 @@ class ProtectedStore:
             raise MonotonicityError(f"priority flag of {addr} cannot return to 0")
         self._flags[addr] = value
 
-    def _allocate_page(self, vpage: int, words: list[int]) -> int:
+    def _allocate_page(self, vpage: int, words: array) -> int:
         """Give ``vpage`` a fresh physical page holding ``words``."""
         pid = self._next_physical
         self._next_physical += 1
@@ -759,12 +747,12 @@ class ProtectedStore:
         self._table.map(vpage, pid)
         return pid
 
-    def _resolve_page_for_write(self, addr: Address) -> list[int]:
+    def _resolve_page_for_write(self, addr: Address) -> array:
         pid = self._table.mapping.get(addr.page)
         if pid is None:
-            pid = self._allocate_page(addr.page, [0] * self.words_per_page)
+            pid = self._allocate_page(addr.page, array("Q", [0]) * self.words_per_page)
         elif self._table.is_cow(addr.page):
-            private = self._allocate_page(addr.page, list(self._pages[pid]))
+            private = self._allocate_page(addr.page, self._pages[pid][:])
             self._log.append(
                 AuditEvent.COW_BREAK,
                 None,

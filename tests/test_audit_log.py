@@ -1,4 +1,4 @@
-"""The audit log's two hand-built encodings, its columns and its read views.
+"""The audit log's two encodings, its columns and its read views.
 
 Chain digests and state-dump files must stay byte for byte what json.dumps
 gives, so each encoder is checked against json.dumps itself, and the dump
@@ -139,6 +139,59 @@ def test_canonical_json_raises_as_json_dumps_does():
             json.dumps(value, sort_keys=True, separators=(",", ":"))
         with pytest.raises(expected.type):
             canonical_json(value)
+
+
+def test_canonical_json_of_a_circular_value_raises_value_error():
+    # The C encoder keeps no circular-reference markers; json.dumps reports the cycle.
+    looped = {"a": 1}
+    looped["self"] = looped
+    listed = [1]
+    listed.append({"back": listed})
+    for value in (looped, listed):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json.dumps(value, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_json(value)
+
+
+def test_canonical_json_of_what_the_store_logs_needs_no_json_dumps(monkeypatch):
+    # json.dumps is only the fallback; the C encoder built at import does the work.
+    details = [{"survivor": 0, "freed": 7, "virtual_pages": [7, 9]}, {"codec": "parity"}, "0:1", 3, None]
+    expected = [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in details]
+    monkeypatch.setattr(json, "dumps", None)
+    assert [canonical_json(d) for d in details] == expected
+
+
+def _nested(depth):
+    value = {"leaf": [1.5, None]}
+    for level in range(depth):
+        value = {"k": value, "n": level} if level % 2 else [value, level]
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"event": AuditEvent.MERGE, "b": [AuditEvent.WRITE]},
+        AuditEvent.READ,
+        {"n": Small.ONE, "m": [Position.THIRD]},
+        Position.FOURTH,
+        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+        [float("nan"), -0.0, 1e300, 5e-324],
+        _nested(200),
+    ],
+    ids=["str-enum-values", "str-enum", "int-enum-values", "int-enum", "nan-inf", "floats", "deep"],
+)
+def test_canonical_json_of_enums_floats_and_nesting_equals_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_json_too_deep_raises_recursion_error():
+    value = _nested(100_000)
+    with pytest.raises(RecursionError):
+        json.dumps(value, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(RecursionError):
+        canonical_json(value)
 
 
 # -- the dump writer -----------------------------------------------------------
@@ -368,6 +421,22 @@ def test_append_rejects_a_detail_that_is_not_a_dict(detail):
     with pytest.raises(TypeError, match="audit detail must be a dict"):
         log.append(AuditEvent.MERGE, None, detail)
     assert len(log) == 0
+
+
+@pytest.mark.parametrize(
+    "event",
+    ["write", Text("read"), None, 0, Small.ONE],
+    ids=["plain-str", "str-subclass", "none", "zero", "int-enum"],
+)
+def test_append_rejects_an_event_that_is_not_an_audit_event(event):
+    # A plain str equals its AuditEvent member, so only the type tells them apart.
+    log = AuditLog()
+    log.append(AuditEvent.WRITE)
+    with pytest.raises(TypeError, match="audit event must be an AuditEvent"):
+        log.append(event, Address(0, 0), {"bit": 1})
+    assert len(log) == 1
+    assert [e["event"] for e in log.to_dicts()] == ["write"]
+    assert verify_entry_dicts(log.to_dicts()) == (True, None)
 
 
 def test_pre_encoded_write_details_are_their_canonical_json():

@@ -368,6 +368,52 @@ class TestDedupAndCow:
         assert len(store.live_physical_pages()) == before - 1
 
 
+class TestSixtyFourBitWords:
+    """A physical page holds each word in one unsigned 64-bit slot, top bit included."""
+
+    ONES = 2**64 - 1
+    TOP = 1 << 63
+
+    @pytest.mark.parametrize("via", ["data", "physical"])
+    def test_flipping_bit_63_of_an_all_ones_word(self, via):
+        store = make_store(strategy=Strategy.FULL, word_width=64, words_per_page=4)
+        store.store_write(Address(0, 0), Word(self.ONES, 64))
+        if via == "data":
+            store.corrupt_data_bit(Address(0, 0), 63)
+        else:
+            store.corrupt_physical_bit(0, 0, 63)
+        assert store.store_read(Address(0, 0)) == (Word(self.ONES ^ self.TOP, 64), Validity.INVALID)
+        words = store.dump_state()["zones"]["data"]["physical_pages"]["0"]["words"]
+        assert words == ["0" + "1" * 63] + ["0" * 64] * 3
+
+    def test_pages_differing_only_in_bit_63_do_not_merge(self):
+        store = make_store(word_width=64, words_per_page=4)
+        for vpage, last in enumerate([self.ONES, self.ONES ^ self.TOP]):
+            store.store_write(Address(vpage, 0), Word(self.ONES, 64))
+            store.store_write(Address(vpage, 3), Word(last, 64))
+        assert store.dedup_scan().pairs_merged == 0
+        assert store.physical_page_of(0) != store.physical_page_of(1)
+
+    def test_cow_break_leaves_the_shared_page_unchanged(self):
+        store = make_store(word_width=64, words_per_page=4)
+        for vpage in range(3):
+            store.store_write(Address(vpage, 0), Word(self.ONES, 64))
+            store.store_write(Address(vpage, 1), Word(self.TOP, 64))
+        assert store.dedup_scan().pairs_merged == 2
+        store.store_write(Address(2, 1), Word(0, 64))
+        assert store.physical_words(0) == (self.ONES, self.TOP, 0, 0)
+        assert store.physical_words(store.physical_page_of(2)) == (self.ONES, 0, 0, 0)
+        assert store.store_read(Address(1, 1)).word == Word(self.TOP, 64)
+
+    def test_physical_words_are_a_tuple_of_exact_ints(self):
+        store = make_store(word_width=64, words_per_page=3)
+        store.store_write(Address(0, 1), Word(self.ONES, 64))
+        words = store.physical_words(0)
+        assert type(words) is tuple
+        assert [type(w) for w in words] == [int, int, int]
+        assert words == (0, self.ONES, 0)
+
+
 # The Flip Feng Shui defence matrix as ``msms attack`` drives it:
 # (strategy, priority_victim, protect_page).
 DEFENCE_CASES = (
