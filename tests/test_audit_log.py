@@ -114,6 +114,13 @@ json_values = st.recursive(
 )
 
 
+def _nested(depth):
+    value = {"leaf": [1.5, None]}
+    for level in range(depth):
+        value = {"k": value, "n": level} if level % 2 else [value, level]
+    return value
+
+
 @settings(max_examples=400, deadline=None)
 @given(json_values)
 @example({"a": True, "b": 1})
@@ -124,6 +131,13 @@ json_values = st.recursive(
 @example({"virtual_pages": [3, 1, 2], "freed": 5, "survivor": 0})
 @example({"x": Small.ONE})
 @example({"x": 1.0})
+@example({"event": AuditEvent.MERGE, "b": [AuditEvent.WRITE]})
+@example(AuditEvent.READ)
+@example({"n": Small.ONE, "m": [Position.THIRD]})
+@example(Position.FOURTH)
+@example({"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")})
+@example([float("nan"), -0.0, 1e300, 5e-324])
+@example(_nested(200))
 def test_canonical_json_equals_json_dumps(value):
     assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -160,30 +174,6 @@ def test_canonical_json_of_what_the_store_logs_needs_no_json_dumps(monkeypatch):
     expected = [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in details]
     monkeypatch.setattr(json, "dumps", None)
     assert [canonical_json(d) for d in details] == expected
-
-
-def _nested(depth):
-    value = {"leaf": [1.5, None]}
-    for level in range(depth):
-        value = {"k": value, "n": level} if level % 2 else [value, level]
-    return value
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {"event": AuditEvent.MERGE, "b": [AuditEvent.WRITE]},
-        AuditEvent.READ,
-        {"n": Small.ONE, "m": [Position.THIRD]},
-        Position.FOURTH,
-        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
-        [float("nan"), -0.0, 1e300, 5e-324],
-        _nested(200),
-    ],
-    ids=["str-enum-values", "str-enum", "int-enum-values", "int-enum", "nan-inf", "floats", "deep"],
-)
-def test_canonical_json_of_enums_floats_and_nesting_equals_json_dumps(value):
-    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def test_canonical_json_too_deep_raises_recursion_error():
