@@ -76,7 +76,7 @@ def flip_feng_shui_scenario(
     """
     if store.physical_page_of(victim_addr.page) is None:
         raise ValueError(f"victim page {victim_addr.page} was never written")
-    attacker_page = max(store.page_table_view()) + 1
+    attacker_page = store.highest_virtual_page() + 1
 
     for offset, word in enumerate(attacker_page_content):
         store.store_write(Address(attacker_page, offset), word, priority=False)

@@ -44,7 +44,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from ._version import __version__ as _version
 from .codecs import CodecCheck, CodecId, get_codec
@@ -139,11 +139,13 @@ class PageTable:
     """Virtual-to-physical mapping and its reverse; the one record of sharing.
 
     ``sharers`` maps each live physical page to the virtual pages mapped
-    onto it, and only :meth:`map` changes either direction.  Refcount
-    and copy-on-write are derived, never stored: a physical page's
-    refcount is its number of sharers, and a virtual page is
-    copy-on-write exactly when its physical page has more than one.
-    ``protected`` holds the virtual pages exempt from deduplication.
+    onto it, and only :meth:`map` and :meth:`move_sharers` change either
+    direction: ``map`` points one virtual page, ``move_sharers`` moves a
+    page's whole sharer set onto another page in one step, as a merge
+    does.  Refcount and copy-on-write are derived, never stored: a
+    physical page's refcount is its number of sharers, and a virtual
+    page is copy-on-write exactly when its physical page has more than
+    one.  ``protected`` holds the virtual pages exempt from deduplication.
     """
 
     mapping: dict[int, int] = field(default_factory=dict)
@@ -160,15 +162,15 @@ class PageTable:
         self.mapping[vpage] = ppage
         self.sharers.setdefault(ppage, set()).add(vpage)
 
-    def virtual_pages_of(self, ppage: int) -> list[int]:
-        return sorted(self.sharers[ppage])
+    def move_sharers(self, source: int, target: int) -> list[int]:
+        """Point every sharer of ``source`` at the live page ``target``.
 
-    def refcount(self, ppage: int) -> int:
-        return len(self.sharers[ppage])
-
-    def is_cow(self, vpage: int) -> bool:
-        ppage = self.mapping.get(vpage)
-        return ppage is not None and len(self.sharers[ppage]) > 1
+        ``source`` drops out; the moved virtual pages come back sorted.
+        """
+        moved = self.sharers.pop(source)
+        self.mapping.update(dict.fromkeys(moved, target))
+        self.sharers[target] |= moved
+        return sorted(moved)
 
 
 # -- the two encodings of a log entry ------------------------------------------
@@ -181,6 +183,7 @@ class PageTable:
 # with those settings, so the payload equals json.dumps byte for byte.  A
 # state dump writes the entry as ``json.dumps(state, indent=2)`` does;
 # AuditLog.indented_entries fills an indent-2 template from the log's columns.
+# The store's own WRITE and MERGE details have templates of both encodings.
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -255,11 +258,61 @@ _WRITE_DETAILS = {
     for protected in (False, True)
 }
 
+
+class _MergeDetail(NamedTuple):
+    """A MERGE entry's detail as the log keeps it: its fields, all plain ints.
+
+    Only :meth:`ProtectedStore.dedup_scan` makes them.  Both encodings
+    are template fills, with the keys in sorted order, so neither needs
+    json; ``virtual_pages`` is the log's own list and never handed out.
+    """
+
+    freed: int
+    survivor: int
+    virtual_pages: list[int]
+
+    def canonical(self) -> str:
+        pages = ",".join(map(str, self.virtual_pages))
+        return f'{{"freed":{self.freed},"survivor":{self.survivor},"virtual_pages":[{pages}]}}'
+
+    def indented(self) -> str:
+        """The detail's text in a state dump, as the value of an entry's ``"detail"``."""
+        pages = "[]"
+        if self.virtual_pages:
+            items = ",\n            ".join(map(str, self.virtual_pages))
+            pages = f"[\n            {items}\n          ]"
+        return (
+            "{\n"
+            f'          "freed": {self.freed},\n'
+            f'          "survivor": {self.survivor},\n'
+            f'          "virtual_pages": {pages}\n'
+            "        }"
+        )
+
+
 # Stands in for a zone while json.dumps writes the rest of a state dump.  No
 # other string the store dumps holds a NUL, so the slot occurs only where it
 # stands in: for the check, priority and log zones, in that order.
 _ZONE_PLACEHOLDER = "\0msms zone\0"
 _ZONE_SLOT = _encode_str(_ZONE_PLACEHOLDER)
+
+
+class _BitStrings(dict):
+    """Values to their ``size``-bit strings, most significant bit first.
+
+    Each value is formatted on first use; size 0 gives ``""``, as
+    :attr:`CodecCheck.payload_str` does.
+    """
+
+    __slots__ = ("_spec",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self._spec = f"0{size}b" if size else None
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = format(value, self._spec) if self._spec else ""
+        return text
 
 
 def _indented(opening: str, items: list[str], closing: str) -> str:
@@ -276,16 +329,19 @@ class AuditLog:
     altering any committed field breaks verification at that entry.  The
     digest is sha256 and the first entry's predecessor is :data:`GENESIS`.
 
-    The log is kept as columns (event, address, the detail's canonical
-    JSON and digest).  Outside the log an entry is a dict, as a state
-    dump holds it (:meth:`to_dicts`), or the dump's text of it
-    (:meth:`indented_entries`).
+    The log is kept as columns (event, address, detail and digest).  A
+    detail is kept as its canonical JSON, except that a MERGE entry from
+    :meth:`ProtectedStore.dedup_scan` keeps its fields (a
+    :class:`_MergeDetail`): the text is needed once, for the digest, and
+    both encodings of the fields are template fills.  Outside the log an
+    entry is a dict, as a state dump holds it (:meth:`to_dicts`), or the
+    dump's text of it (:meth:`indented_entries`).
     """
 
     def __init__(self):
         self._events: list[AuditEvent] = []
         self._addresses: list[Optional[str]] = []
-        self._details: list[str] = []
+        self._details: list[str | _MergeDetail] = []
         self._digests: list[str] = []
 
     def __len__(self) -> int:
@@ -302,16 +358,18 @@ class AuditLog:
         ``event`` is an :class:`AuditEvent` member and ``detail`` a dict or
         None (logged as ``{}``); anything else raises ``TypeError``, a plain
         str event included.  The store's own WRITE details come pre-encoded
-        from :data:`_WRITE_DETAILS`.
+        from :data:`_WRITE_DETAILS`, and its MERGE details as their fields.
         """
         if type(event) is not AuditEvent:
             raise TypeError(f"audit event must be an AuditEvent, not {type(event).__name__}")
         if detail is None:
-            detail_json = "{}"
+            detail_json = kept = "{}"
         elif type(detail) is _CanonicalDetail:
-            detail_json = detail
+            detail_json = kept = detail
+        elif type(detail) is _MergeDetail:
+            detail_json, kept = detail.canonical(), detail
         elif isinstance(detail, dict):
-            detail_json = canonical_json(detail)
+            detail_json = kept = canonical_json(detail)
         else:
             raise TypeError(f"audit detail must be a dict, not {type(detail).__name__}")
         addr = None if address is None else str(address)
@@ -328,7 +386,7 @@ class AuditLog:
         )
         self._events.append(event)
         self._addresses.append(addr)
-        self._details.append(detail_json)
+        self._details.append(kept)
 
     def to_dicts(self, start: int = 0) -> list[dict[str, Any]]:
         """The entries from sequence ``start`` on, as a state dump's ``zones.log`` holds them.
@@ -337,8 +395,9 @@ class AuditLog:
         builds fresh dicts, so nothing a caller holds can change the log.
         """
         start = slice(start, None).indices(len(self._digests))[0]
-        # Flat details are parsed once per distinct text and copied per
-        # entry; details holding a list are parsed afresh for each entry.
+        # A MERGE detail is built from its fields, in json.loads key order.
+        # Other flat details are parsed once per distinct text and copied
+        # per entry; details holding a list are parsed afresh for each entry.
         flat: dict[str, dict[str, Any]] = {}
         dicts = []
         prev = self._digests[start - 1] if start else GENESIS
@@ -348,14 +407,16 @@ class AuditLog:
             self._details[start:],
             self._digests[start:],
         )
-        for sequence, (event, addr, detail_json, digest) in enumerate(columns, start):
-            detail = flat.get(detail_json)
-            if detail is not None:
+        for sequence, (event, addr, kept, digest) in enumerate(columns, start):
+            if type(kept) is _MergeDetail:
+                freed, survivor, pages = kept
+                detail = {"freed": freed, "survivor": survivor, "virtual_pages": list(pages)}
+            elif (detail := flat.get(kept)) is not None:
                 detail = dict(detail)
             else:
-                detail = json.loads(detail_json)
-                if "[" not in detail_json and "{" not in detail_json[1:]:
-                    flat[detail_json] = dict(detail)
+                detail = json.loads(kept)
+                if "[" not in kept and "{" not in kept[1:]:
+                    flat[kept] = dict(detail)
             dicts.append(
                 {
                     "sequence": sequence,
@@ -373,17 +434,19 @@ class AuditLog:
         """The texts of the entries as a state dump's ``zones.log`` list holds them.
 
         Each is the text of its dict in ``json.dumps(self.to_dicts(), indent=2)``
-        at a depth of two.  Each distinct detail is indented once.
+        at a depth of two.  A MERGE detail fills its template; each other
+        distinct detail is indented once.
         """
         details: dict[str, str] = {}
         parts = []
         prev = GENESIS
         columns = zip(self._events, self._addresses, self._details, self._digests)
-        for sequence, (event, addr, detail_json, digest) in enumerate(columns):
-            detail = details.get(detail_json)
-            if detail is None:
-                detail = json.dumps(json.loads(detail_json), indent=2).replace("\n", "\n        ")
-                details[detail_json] = detail
+        for sequence, (event, addr, kept, digest) in enumerate(columns):
+            if type(kept) is _MergeDetail:
+                detail = kept.indented()
+            elif (detail := details.get(kept)) is None:
+                detail = json.dumps(json.loads(kept), indent=2).replace("\n", "\n        ")
+                details[kept] = detail
             parts.append(
                 "      {\n"
                 f'        "sequence": {sequence},\n'
@@ -396,6 +459,24 @@ class AuditLog:
             )
             prev = digest
         return parts
+
+
+def _known_detail_json(detail: dict) -> Optional[str]:
+    """The canonical JSON of an empty or a WRITE detail, else None.
+
+    Only a plain dict qualifies, with no items or with exactly the keys
+    ``priority`` and ``protected`` holding the ``True``/``False`` objects.
+    """
+    if type(detail) is not dict:
+        return None
+    if not detail:
+        return "{}"
+    if len(detail) == 2:
+        priority = detail.get("priority")
+        protected = detail.get("protected")
+        if (priority is True or priority is False) and (protected is True or protected is False):
+            return _WRITE_DETAILS[priority, protected]
+    return None
 
 
 def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
@@ -420,7 +501,7 @@ def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optiona
         ):
             recomputed = _chain_digest(
                 "null" if address is None else _encode_str(address),
-                canonical_json(detail),
+                _known_detail_json(detail) or canonical_json(detail),
                 _encode_str(digest_prev),
                 _encode_str(event),
                 sequence,
@@ -557,16 +638,16 @@ class ProtectedStore:
         merged = 0
         for survivor, *dupes in groups.values():
             for dupe in dupes:
-                moved = self._table.virtual_pages_of(dupe)
-                for vp in moved:
-                    self._table.map(vp, survivor)
+                moved = self._table.move_sharers(dupe, survivor)
                 del self._pages[dupe]
                 merged += 1
-                self._log.append(
-                    AuditEvent.MERGE,
-                    None,
-                    {"survivor": survivor, "freed": dupe, "virtual_pages": moved},
-                )
+                # A page number of another int type (an IntEnum, say) may print
+                # otherwise than json writes it, so canonical_json encodes those.
+                if all(type(vp) is int for vp in moved):
+                    detail = _MergeDetail(dupe, survivor, moved)
+                else:
+                    detail = {"survivor": survivor, "freed": dupe, "virtual_pages": moved}
+                self._log.append(AuditEvent.MERGE, None, detail)
         return MergeReport(merged)
 
     def verify_audit_chain(self) -> tuple[bool, Optional[int]]:
@@ -588,23 +669,21 @@ class ProtectedStore:
         return self._table.mapping.get(vpage)
 
     def refcount(self, ppage: int) -> int:
-        return self._table.refcount(ppage)
+        return len(self._table.sharers[ppage])
 
     def physical_words(self, ppage: int) -> tuple[int, ...]:
         return tuple(self._pages[ppage])
 
     def page_table_view(self) -> dict[int, dict[str, Any]]:
-        return {
-            vp: {
-                "physical": pp,
-                "cow": self._table.is_cow(vp),
-                "protected": vp in self._table.protected,
-            }
-            for vp, pp in sorted(self._table.mapping.items())
-        }
+        return dict(self._page_table_rows())
+
+    def highest_virtual_page(self) -> Optional[int]:
+        """The largest mapped virtual page number, or None before any write."""
+        return max(self._table.mapping, default=None)
 
     def is_cow(self, vpage: int) -> bool:
-        return self._table.is_cow(vpage)
+        ppage = self._table.mapping.get(vpage)
+        return ppage is not None and len(self._table.sharers[ppage]) > 1
 
     def live_physical_pages(self) -> tuple[int, ...]:
         return tuple(sorted(self._pages))
@@ -649,9 +728,11 @@ class ProtectedStore:
 
     def dump_state(self) -> dict[str, Any]:
         """JSON-ready snapshot with each zone listed separately."""
+        codec = self.codec.codec_id.value
+        payloads = self._payloads()
         return self._state(
             {
-                str(addr): {"codec": c.codec_id.value, "payload": c.payload_str}
+                str(addr): {"codec": codec, "payload": payloads[c.value]}
                 for addr, c in sorted(self._checks.items())
             },
             {str(addr): flag for addr, flag in sorted(self._flags.items())},
@@ -668,10 +749,12 @@ class ProtectedStore:
         head, after_check, after_priority, tail = json.dumps(
             self._state(_ZONE_PLACEHOLDER, _ZONE_PLACEHOLDER, _ZONE_PLACEHOLDER), indent=2
         ).split(_ZONE_SLOT)
+        codec = _CODEC_JSON[self.codec.codec_id]
+        payloads = self._payloads()
         checks = [
             f"      {_encode_str(str(addr))}: {{\n"
-            f'        "codec": {_CODEC_JSON[c.codec_id]},\n'
-            f'        "payload": "{c.payload_str}"\n'
+            f'        "codec": {codec},\n'
+            f'        "payload": "{payloads[c.value]}"\n'
             "      }"
             for addr, c in sorted(self._checks.items())
         ]
@@ -691,6 +774,14 @@ class ProtectedStore:
                 "\n",
             ]
         )
+
+    def _payloads(self) -> _BitStrings:
+        """The payload text of each check value, for one dump.
+
+        Every check in the zone comes from the store's one codec at the
+        store's width, so all have the same codec name and size.
+        """
+        return _BitStrings(self.codec.check_bits(self.word_width))
 
     def _state(self, check: Any, priority: Any, log: Any) -> dict[str, Any]:
         # Most words of a page repeat (an unwritten word is 0), so each
@@ -712,7 +803,7 @@ class ProtectedStore:
                     "physical_pages": {
                         str(pid): {
                             "words": list(map(bits.__getitem__, words)),
-                            "refcount": self._table.refcount(pid),
+                            "refcount": len(self._table.sharers[pid]),
                         }
                         for pid, words in sorted(self._pages.items())
                     },
@@ -739,6 +830,12 @@ class ProtectedStore:
             raise MonotonicityError(f"priority flag of {addr} cannot return to 0")
         self._flags[addr] = value
 
+    def _page_table_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
+        """Each virtual page in order, with its row, read off the sharer map."""
+        sharers, protected = self._table.sharers, self._table.protected
+        for vp, pp in sorted(self._table.mapping.items()):
+            yield vp, {"physical": pp, "cow": len(sharers[pp]) > 1, "protected": vp in protected}
+
     def _allocate_page(self, vpage: int, words: array) -> int:
         """Give ``vpage`` a fresh physical page holding ``words``."""
         pid = self._next_physical
@@ -751,7 +848,7 @@ class ProtectedStore:
         pid = self._table.mapping.get(addr.page)
         if pid is None:
             pid = self._allocate_page(addr.page, array("Q", [0]) * self.words_per_page)
-        elif self._table.is_cow(addr.page):
+        elif len(self._table.sharers[pid]) > 1:
             private = self._allocate_page(addr.page, self._pages[pid][:])
             self._log.append(
                 AuditEvent.COW_BREAK,

@@ -26,7 +26,7 @@ from msms import (
     run_simulation,
     verify_entry_dicts,
 )
-from msms.store import _WRITE_DETAILS, GENESIS, AuditLog, canonical_json
+from msms.store import _WRITE_DETAILS, GENESIS, AuditLog, _MergeDetail, canonical_json
 
 
 def reference_verify(entries):
@@ -94,6 +94,16 @@ class Text(str):
 
     def __format__(self, spec):
         return "tampered"
+
+
+class AlwaysTrue(dict):
+    """A dict whose lookups answer True whatever its items hold."""
+
+    def get(self, key, default=None):
+        return True
+
+    def __getitem__(self, key):
+        return True
 
 
 texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
@@ -325,6 +335,15 @@ TAMPERINGS = {
     "str-subclass-event": lambda e: e.update(event=Text(e["event"])),
     "str-subclass-address": lambda e: e.update(address=Text(e["address"] or "0:0")),
     "str-subclass-digest-prev": lambda e: e.update(digest_prev=Text(e["digest_prev"])),
+    # Negative controls for the verifier's WRITE and empty-detail shortcut,
+    # which must take only a plain dict holding exactly the True/False objects.
+    "int-write-detail": lambda e: e.update(detail={"priority": 1, "protected": 0}),
+    "third-key-write-detail": lambda e: e.update(
+        detail={"priority": True, "protected": False, "zone": "data"}
+    ),
+    "none-write-detail": lambda e: e.update(detail={"priority": None, "protected": True}),
+    "dict-subclass-detail": lambda e: e.update(detail=AlwaysTrue(e["detail"])),
+    "key-for-empty-detail": lambda e: e.update(detail=e["detail"] or {"": 0}),
 }
 
 
@@ -372,6 +391,55 @@ def _merged_store():
     store.dedup_scan()
     merge = next(i for i, e in enumerate(store.audit_entries()) if e["event"] == AuditEvent.MERGE)
     return store, merge
+
+
+def _dedup_heavy_store():
+    """A few hundred one-word pages of seeded 8-bit words, merged, then one COW break."""
+    rng = random.Random(21)
+    store = ProtectedStore(words_per_page=1)
+    for page in range(300):
+        store.store_write(Address(page, 0), Word(rng.getrandbits(8), 8), priority=page % 7 == 0)
+    assert store.dedup_scan().pairs_merged > 100
+    shared = next(vp for vp in range(300) if store.is_cow(vp))
+    store.store_write(Address(shared, 0), Word(0, 8))
+    store.store_read(Address(shared, 0))
+    return store
+
+
+def test_a_dedup_heavy_store_dumps_and_reads_its_merges_as_json_would():
+    store = _dedup_heavy_store()
+    entries = store.audit_entries()
+    assert {"write", "merge", "cow_break", "read"} == {e["event"] for e in entries}
+    assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
+    merges = [k for k, e in enumerate(entries) if e["event"] == "merge"]
+    for k in merges:
+        detail = entries[k]["detail"]
+        text = canonical_json(detail)
+        assert json.dumps(detail) == json.dumps(json.loads(text))
+        assert list(detail) == ["freed", "survivor", "virtual_pages"]
+    for k in merges:
+        entries[k]["detail"]["virtual_pages"].append(-1)
+    assert store.verify_audit_chain() == (True, None)
+    assert verify_entry_dicts(store.audit_entries()) == reference_verify(store.audit_entries())
+
+
+@pytest.mark.parametrize("pages", [[], [3], [1, 4, 9]])
+def test_merge_detail_templates_are_json_of_the_fields(pages):
+    merge = _MergeDetail(2, 0, pages)
+    fields = {"freed": 2, "survivor": 0, "virtual_pages": pages}
+    assert merge.canonical() == canonical_json(fields)
+    assert merge.indented() == json.dumps(fields, indent=2).replace("\n", "\n        ")
+
+
+def test_merges_of_pages_numbered_by_another_int_type_are_logged_as_json_encodes_them():
+    # Position.SECOND is 1 in JSON but prints as "SECOND".
+    store = ProtectedStore(words_per_page=1)
+    store.store_write(Address(0, 0), Word(4, 8))
+    store.store_write(Address(Position.SECOND, 0), Word(4, 8))
+    store.dedup_scan()
+    assert store.audit_entries(-1)[0]["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1]}
+    assert store.verify_audit_chain() == (True, None)
+    assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
 
 
 def test_dumps_and_entries_hand_out_copies_of_the_log():

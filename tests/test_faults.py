@@ -113,6 +113,25 @@ class TestFlipFengShuiMatrix:
         assert outcome.audit_tail == store.audit_entries(-5)
         assert len(outcome.audit_tail) == 5
 
+    def test_attacker_takes_the_page_past_the_highest_mapped_one(self):
+        store = ProtectedStore(words_per_page=4)
+        victim = [Word(5, WIDTH)]
+        store.store_write(Address(0, 0), victim[0])
+        store.store_write(Address(7, 0), Word(9, WIDTH))  # pages 1-6 stay unmapped
+        assert flip_feng_shui_scenario(store, victim, Address(0, 0)).merged
+        assert store.physical_page_of(8) == store.physical_page_of(0)
+        writes = [e["address"] for e in store.audit_entries() if e["event"] == AuditEvent.WRITE]
+        assert writes == ["0:0", "7:0", "8:0"]
+
+    def test_without_an_rng_the_flip_lands_on_bit_0(self):
+        store = ProtectedStore(words_per_page=4)
+        victim = [Word(0b1010, WIDTH)]
+        store.store_write(Address(0, 0), victim[0])
+        assert flip_feng_shui_scenario(store, victim, Address(0, 0)).flip_applied
+        fault = next(e for e in store.audit_entries() if e["event"] == AuditEvent.INJECTED_FAULT)
+        assert fault["detail"]["bit"] == 0
+        assert store.store_read(Address(0, 0)).word == Word(0b1011, WIDTH)
+
     def test_unwritten_victim_rejected(self):
         store = ProtectedStore(words_per_page=4)
         with pytest.raises(ValueError):

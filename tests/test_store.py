@@ -359,6 +359,35 @@ class TestDedupAndCow:
         }
         assert store.physical_words(0) == (4, 5, 0, 0, 0, 0, 0, 0)
 
+    def test_a_shared_duplicate_moves_all_its_sharers_in_one_merge(self):
+        store = make_store()
+        self.fill_page(store, 5, [3])  # physical 0
+        self.fill_page(store, 1, [7])  # physical 1
+        self.fill_page(store, 2, [7])  # physical 2
+        store.dedup_scan()
+        assert store.refcount(1) == 2
+        # Physical 0 now matches the shared page and, being lower, survives.
+        self.fill_page(store, 5, [7])
+        assert store.dedup_scan().pairs_merged == 1
+        assert store.live_physical_pages() == (0,)
+        assert store.refcount(0) == 3
+        assert store.page_table_view() == {
+            vp: {"physical": 0, "cow": True, "protected": False} for vp in (1, 2, 5)
+        }
+        merge = store.audit_entries(-1)[0]
+        assert merge["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1, 2]}
+        assert store.verify_audit_chain() == (True, None)
+        assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
+
+    def test_highest_virtual_page_is_the_largest_mapped_page(self):
+        store = make_store()
+        assert store.highest_virtual_page() is None
+        self.fill_page(store, 10, [1])
+        self.fill_page(store, 3, [1])
+        assert store.highest_virtual_page() == 10
+        store.dedup_scan()
+        assert store.highest_virtual_page() == 10 == max(store.page_table_view())
+
     def test_merge_frees_the_duplicate_physical_page(self):
         store = make_store()
         self.fill_page(store, 0, [1])
