@@ -16,6 +16,7 @@ from msms import (
     get_codec,
     run_comparison,
     SimulationConfig,
+    step_cost,
     theoretical_cost,
 )
 from msms.simulation import DEFAULT_PRIORITY_FRACTION, DEFAULT_WORD_WIDTH
@@ -54,7 +55,8 @@ def main() -> None:
         print(f"  {strategy.value:<9} {sum(values) / len(values):>8.2%}")
 
     b = baseline_steps(args.width)
-    print(f"\nper-op steps: baseline B={b}, fully checked 2B+2={2 * b + 2}")
+    checked = step_cost(Strategy.FULL, True, args.width)
+    print(f"\nper-op steps: baseline B={b}, fully checked 2B+2={checked}")
     model = theoretical_cost(args.p_priority, get_codec("dup").cost())
     print("closed-form rows (normalized, duplication-style technique):")
     for row in model.rows():

@@ -23,13 +23,16 @@ Priority flags are monotonic: once an address is flagged critical it
 stays critical.  There is no public operation that lowers a flag, and
 the flag zone itself refuses the transition as a final guard.
 
-Virtual pages map onto physical pages through a page table with
-copy-on-write semantics; :meth:`ProtectedStore.dedup_scan` merges
-identical physical pages the way a same-page-merging kernel would,
-skipping pages that were explicitly protected from deduplication.  The
-page table is the only record of sharing: a physical page's refcount is
-the number of virtual pages mapped onto it, and a virtual page is
-copy-on-write exactly when its physical page is shared.
+Virtual pages map onto physical pages with copy-on-write semantics;
+:meth:`ProtectedStore.dedup_scan` merges identical physical pages the
+way a same-page-merging kernel would, skipping pages that were
+explicitly protected from deduplication.  The store owns the page table,
+a virtual-to-physical map and each physical page's sharer set, and only
+page allocation and ``dedup_scan`` write them.  A physical page's
+refcount is its number of sharers, and a virtual page is copy-on-write
+exactly when its physical page is shared.  Addresses are kept as plain
+ints: any other integer type is taken by its value, and anything else
+raises ``TypeError`` before the store changes.
 
 Hardware faults are modeled through the ``corrupt_*`` methods, which
 deliberately bypass the mediated write path and mutate zone contents
@@ -41,8 +44,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
@@ -134,43 +138,10 @@ class Address(NamedTuple):
         return f"{self.page}:{self.offset}"
 
 
-@dataclass
-class PageTable:
-    """Virtual-to-physical mapping and its reverse; the one record of sharing.
-
-    ``sharers`` maps each live physical page to the virtual pages mapped
-    onto it, and only :meth:`map` and :meth:`move_sharers` change either
-    direction: ``map`` points one virtual page, ``move_sharers`` moves a
-    page's whole sharer set onto another page in one step, as a merge
-    does.  Refcount and copy-on-write are derived, never stored: a
-    physical page's refcount is its number of sharers, and a virtual
-    page is copy-on-write exactly when its physical page has more than
-    one.  ``protected`` holds the virtual pages exempt from deduplication.
-    """
-
-    mapping: dict[int, int] = field(default_factory=dict)
-    sharers: dict[int, set[int]] = field(default_factory=dict)
-    protected: set[int] = field(default_factory=set)
-
-    def map(self, vpage: int, ppage: int) -> None:
-        """Point ``vpage`` at ``ppage``; a physical page left unmapped drops out."""
-        old = self.mapping.get(vpage)
-        if old is not None:
-            self.sharers[old].remove(vpage)
-            if not self.sharers[old]:
-                del self.sharers[old]
-        self.mapping[vpage] = ppage
-        self.sharers.setdefault(ppage, set()).add(vpage)
-
-    def move_sharers(self, source: int, target: int) -> list[int]:
-        """Point every sharer of ``source`` at the live page ``target``.
-
-        ``source`` drops out; the moved virtual pages come back sorted.
-        """
-        moved = self.sharers.pop(source)
-        self.mapping.update(dict.fromkeys(moved, target))
-        self.sharers[target] |= moved
-        return sorted(moved)
+def _plain_address(addr: Address) -> Address:
+    """``addr`` with each field made a plain int by its ``__index__``, or TypeError."""
+    page, offset = addr
+    return Address(operator.index(page), operator.index(offset))
 
 
 # -- the two encodings of a log entry ------------------------------------------
@@ -262,14 +233,20 @@ _WRITE_DETAILS = {
 class _MergeDetail(NamedTuple):
     """A MERGE entry's detail as the log keeps it: its fields, all plain ints.
 
-    Only :meth:`ProtectedStore.dedup_scan` makes them.  Both encodings
-    are template fills, with the keys in sorted order, so neither needs
-    json; ``virtual_pages`` is the log's own list and never handed out.
+    :meth:`ProtectedStore.dedup_scan` logs every merge as one, so a MERGE
+    has this one form, and only this class spells out its keys.  Its dict
+    and both encodings are template fills, so none needs json;
+    ``virtual_pages`` is the log's own list and never handed out.
     """
 
     freed: int
     survivor: int
     virtual_pages: list[int]
+
+    def to_dict(self) -> dict[str, Any]:
+        """A fresh dict of the fields, in ``json.loads`` key order."""
+        freed, survivor, pages = self
+        return {"freed": freed, "survivor": survivor, "virtual_pages": list(pages)}
 
     def canonical(self) -> str:
         pages = ",".join(map(str, self.virtual_pages))
@@ -330,12 +307,12 @@ class AuditLog:
     digest is sha256 and the first entry's predecessor is :data:`GENESIS`.
 
     The log is kept as columns (event, address, detail and digest).  A
-    detail is kept as its canonical JSON, except that a MERGE entry from
-    :meth:`ProtectedStore.dedup_scan` keeps its fields (a
-    :class:`_MergeDetail`): the text is needed once, for the digest, and
-    both encodings of the fields are template fills.  Outside the log an
-    entry is a dict, as a state dump holds it (:meth:`to_dicts`), or the
-    dump's text of it (:meth:`indented_entries`).
+    detail is kept as its canonical JSON, except that the store's MERGE
+    entries keep their fields: :meth:`ProtectedStore.dedup_scan` logs
+    every merge in the one form of a :class:`_MergeDetail`, whose text is
+    needed once, for the digest, and whose encodings are template fills.
+    Outside the log an entry is a dict, as a state dump holds it
+    (:meth:`to_dicts`), or the dump's text of it (:meth:`indented_entries`).
     """
 
     def __init__(self):
@@ -409,8 +386,7 @@ class AuditLog:
         )
         for sequence, (event, addr, kept, digest) in enumerate(columns, start):
             if type(kept) is _MergeDetail:
-                freed, survivor, pages = kept
-                detail = {"freed": freed, "survivor": survivor, "virtual_pages": list(pages)}
+                detail = kept.to_dict()
             elif (detail := flat.get(kept)) is not None:
                 detail = dict(detail)
             else:
@@ -551,7 +527,9 @@ class ProtectedStore:
         self.allow_check_zone_faults = allow_check_zone_faults
         # zones; reachable only through store operations
         self._pages: dict[int, array] = {}  # physical page -> its words, typecode "Q"
-        self._table = PageTable()
+        self._mapping: dict[int, int] = {}  # page table: virtual -> physical page
+        self._sharers: dict[int, set[int]] = {}  # live physical page -> its virtual pages
+        self._protected: set[int] = set()  # virtual pages exempt from deduplication
         self._checks: dict[Address, CodecCheck] = {}
         self._flags: dict[Address, int] = {}
         self._log = AuditLog()
@@ -568,10 +546,13 @@ class ProtectedStore:
         down, so later writes to a flagged address are treated as
         priority regardless of the ``priority`` argument.
         """
+        page, offset = addr
+        if type(page) is not int or type(offset) is not int:
+            page, offset = addr = _plain_address(addr)
         self._check_addr(addr)
         if word.width != self.word_width:
             raise ValueError(f"word width {word.width} != store width {self.word_width}")
-        self._resolve_page_for_write(addr)[addr.offset] = word.value
+        self._resolve_page_for_write(addr)[offset] = word.value
         self._written.add(addr)
 
         # The flag zone records the classification whatever the
@@ -589,6 +570,9 @@ class ProtectedStore:
         Returns ``(word, validity)``; when the store's read policy is
         ``suppress_on_invalid`` the word is None if verification fails.
         """
+        page, offset = addr
+        if type(page) is not int or type(offset) is not int:
+            page, offset = addr = _plain_address(addr)
         word = self._resolve_word(addr)
         self._log.append(AuditEvent.READ, addr)
         if self.read_policy is ReadPolicy.RETURN_UNCHECKED:
@@ -612,6 +596,9 @@ class ProtectedStore:
         snapshotted into the check zone so the very next read can already
         verify.
         """
+        page, offset = addr
+        if type(page) is not int or type(offset) is not int:
+            page, offset = addr = _plain_address(addr)
         word = self._resolve_word(addr)
         self._set_flag(addr)
         if self._checked[True] and addr not in self._checks:
@@ -620,7 +607,7 @@ class ProtectedStore:
 
     def protect_page(self, vpage: int) -> None:
         """Exempt a virtual page from deduplication."""
-        self._table.protected.add(vpage)
+        self._protected.add(vpage if type(vpage) is int else operator.index(vpage))
 
     def dedup_scan(self) -> MergeReport:
         """Merge identical physical pages, sparing protected ones.
@@ -630,24 +617,21 @@ class ProtectedStore:
         page and the duplicates are freed; the survivor is now shared,
         so every mapping onto it is copy-on-write.
         """
+        pages, mapping, sharers = self._pages, self._mapping, self._sharers
         groups: dict[bytes, list[int]] = {}
-        for pid in sorted(self._pages):
-            if self._table.protected.isdisjoint(self._table.sharers[pid]):
-                groups.setdefault(self._pages[pid].tobytes(), []).append(pid)
+        for pid in sorted(pages):
+            if self._protected.isdisjoint(sharers[pid]):
+                groups.setdefault(pages[pid].tobytes(), []).append(pid)
 
         merged = 0
         for survivor, *dupes in groups.values():
             for dupe in dupes:
-                moved = self._table.move_sharers(dupe, survivor)
-                del self._pages[dupe]
+                moved = sharers.pop(dupe)
+                mapping.update(dict.fromkeys(moved, survivor))
+                sharers[survivor] |= moved
+                del pages[dupe]
                 merged += 1
-                # A page number of another int type (an IntEnum, say) may print
-                # otherwise than json writes it, so canonical_json encodes those.
-                if all(type(vp) is int for vp in moved):
-                    detail = _MergeDetail(dupe, survivor, moved)
-                else:
-                    detail = {"survivor": survivor, "freed": dupe, "virtual_pages": moved}
-                self._log.append(AuditEvent.MERGE, None, detail)
+                self._log.append(AuditEvent.MERGE, None, _MergeDetail(dupe, survivor, sorted(moved)))
         return MergeReport(merged)
 
     def verify_audit_chain(self) -> tuple[bool, Optional[int]]:
@@ -666,10 +650,10 @@ class ProtectedStore:
         return self._log.to_dicts(start)
 
     def physical_page_of(self, vpage: int) -> Optional[int]:
-        return self._table.mapping.get(vpage)
+        return self._mapping.get(vpage)
 
     def refcount(self, ppage: int) -> int:
-        return len(self._table.sharers[ppage])
+        return len(self._sharers[ppage])
 
     def physical_words(self, ppage: int) -> tuple[int, ...]:
         return tuple(self._pages[ppage])
@@ -679,11 +663,11 @@ class ProtectedStore:
 
     def highest_virtual_page(self) -> Optional[int]:
         """The largest mapped virtual page number, or None before any write."""
-        return max(self._table.mapping, default=None)
+        return max(self._mapping, default=None)
 
     def is_cow(self, vpage: int) -> bool:
-        ppage = self._table.mapping.get(vpage)
-        return ppage is not None and len(self._table.sharers[ppage]) > 1
+        ppage = self._mapping.get(vpage)
+        return ppage is not None and len(self._sharers[ppage]) > 1
 
     def live_physical_pages(self) -> tuple[int, ...]:
         return tuple(sorted(self._pages))
@@ -692,11 +676,14 @@ class ProtectedStore:
 
     def corrupt_data_bit(self, addr: Address, bit: int) -> None:
         """Flip one data bit in place, as induced hardware corruption would."""
+        page, offset = addr
+        if type(page) is not int or type(offset) is not int:
+            page, offset = addr = _plain_address(addr)
         if addr not in self._written:
             raise MissingAddressError(str(addr))
         if not 0 <= bit < self.word_width:
             raise IndexError(f"bit {bit} out of range for width {self.word_width}")
-        self._pages[self._table.mapping[addr.page]][addr.offset] ^= 1 << bit
+        self._pages[self._mapping[page]][offset] ^= 1 << bit
         self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "data"})
 
     def corrupt_physical_bit(self, ppage: int, offset: int, bit: int) -> None:
@@ -718,6 +705,9 @@ class ProtectedStore:
         """Flip one stored check bit; only with check-zone faults enabled."""
         if not self.allow_check_zone_faults:
             raise CheckZoneSealedError("check-zone fault injection is disabled for this store")
+        page, offset = addr
+        if type(page) is not int or type(offset) is not int:
+            page, offset = addr = _plain_address(addr)
         check = self._checks.get(addr)
         if check is None:
             raise MissingAddressError(f"no check stored for {addr}")
@@ -803,11 +793,11 @@ class ProtectedStore:
                     "physical_pages": {
                         str(pid): {
                             "words": list(map(bits.__getitem__, words)),
-                            "refcount": len(self._table.sharers[pid]),
+                            "refcount": len(self._sharers[pid]),
                         }
                         for pid, words in sorted(self._pages.items())
                     },
-                    "page_table": {str(vp): row for vp, row in self.page_table_view().items()},
+                    "page_table": {str(vp): row for vp, row in self._page_table_rows()},
                 },
                 "check": check,
                 "priority": priority,
@@ -832,8 +822,8 @@ class ProtectedStore:
 
     def _page_table_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Each virtual page in order, with its row, read off the sharer map."""
-        sharers, protected = self._table.sharers, self._table.protected
-        for vp, pp in sorted(self._table.mapping.items()):
+        sharers, protected = self._sharers, self._protected
+        for vp, pp in sorted(self._mapping.items()):
             yield vp, {"physical": pp, "cow": len(sharers[pp]) > 1, "protected": vp in protected}
 
     def _allocate_page(self, vpage: int, words: array) -> int:
@@ -841,14 +831,18 @@ class ProtectedStore:
         pid = self._next_physical
         self._next_physical += 1
         self._pages[pid] = words
-        self._table.map(vpage, pid)
+        old = self._mapping.get(vpage)
+        if old is not None:  # a copy-on-write break; ``old`` keeps its other sharers
+            self._sharers[old].remove(vpage)
+        self._mapping[vpage] = pid
+        self._sharers[pid] = {vpage}
         return pid
 
     def _resolve_page_for_write(self, addr: Address) -> array:
-        pid = self._table.mapping.get(addr.page)
+        pid = self._mapping.get(addr.page)
         if pid is None:
             pid = self._allocate_page(addr.page, array("Q", [0]) * self.words_per_page)
-        elif len(self._table.sharers[pid]) > 1:
+        elif len(self._sharers[pid]) > 1:
             private = self._allocate_page(addr.page, self._pages[pid][:])
             self._log.append(
                 AuditEvent.COW_BREAK,
@@ -862,4 +856,4 @@ class ProtectedStore:
         self._check_addr(addr)
         if addr not in self._written:
             raise MissingAddressError(str(addr))
-        return Word(self._pages[self._table.mapping[addr.page]][addr.offset], self.word_width)
+        return Word(self._pages[self._mapping[addr.page]][addr.offset], self.word_width)

@@ -1,9 +1,11 @@
 """Protected store: zones, policies, flags, dedup/CoW, and the audit chain."""
 
+import enum
 import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,13 @@ def test_address_hashes_orders_and_prints_as_its_fields(page, offset, page2, off
     assert (a == b) == ((page, offset) == (page2, offset2))
     assert str(a) == f"{page}:{offset}"
     assert repr(a) == f"Address(page={page}, offset={offset})"
+
+
+class _NamedPage(enum.IntEnum):
+    ONE = 1
+
+    def __str__(self) -> str:
+        return self.name
 
 
 class TestReadWrite:
@@ -90,6 +99,35 @@ class TestReadWrite:
             store.store_write(Address(0, offset), Word(1, 8))
         with pytest.raises(ValueError, match="out of range"):
             store.store_read(Address(0, offset))
+
+    @pytest.mark.parametrize("addr", [Address(0, 1.0), Address(1.5, 0)], ids=["offset", "page"])
+    def test_a_float_address_is_refused_before_the_store_changes(self, addr):
+        store = make_store()
+        with pytest.raises(TypeError):
+            store.store_write(addr, Word(1, 8))
+        assert store.live_physical_pages() == ()
+        assert store.audit_entries() == []
+
+    def test_a_float_page_cannot_be_protected(self):
+        with pytest.raises(TypeError):
+            make_store().protect_page(1.5)
+
+    @pytest.mark.parametrize("value", [True, _NamedPage.ONE], ids=["bool", "IntEnum"])
+    @pytest.mark.parametrize("field", ["page", "offset"])
+    def test_an_address_of_another_integer_type_is_taken_by_its_ints(self, field, value):
+        store = make_store(strategy=Strategy.FULL, allow_check_zone_faults=True)
+        addr = Address(value, 0) if field == "page" else Address(0, value)
+        store.store_write(addr, Word(5, 8))
+        store.store_read(addr)
+        store.set_priority(addr)
+        store.corrupt_data_bit(addr, 0)
+        store.corrupt_check_bit(addr, 0)
+        store.protect_page(value)
+        plain = Address(*map(int, addr))
+        assert [e["address"] for e in store.audit_entries()] == [str(plain)] * 5
+        [(vpage, row)] = store.page_table_view().items()
+        assert type(vpage) is int
+        assert row == {"physical": 0, "cow": False, "protected": plain.page == 1}
 
     def test_corrupted_priority_word_reads_invalid(self):
         store = make_store()
@@ -388,6 +426,19 @@ class TestDedupAndCow:
         store.dedup_scan()
         assert store.highest_virtual_page() == 10 == max(store.page_table_view())
 
+    def test_numpy_numbered_pages_merge_into_a_logged_plain_int_merge(self):
+        store = make_store()
+        self.fill_page(store, np.int64(0), [1, 2])
+        self.fill_page(store, np.int64(1), [1, 2])
+        assert store.dedup_scan().pairs_merged == 1
+        merge = store.audit_entries(-1)[0]
+        assert merge["event"] == AuditEvent.MERGE
+        assert merge["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1]}
+        detail = merge["detail"]
+        assert all(type(v) is int for v in [detail["freed"], detail["survivor"], *detail["virtual_pages"]])
+        assert store.verify_audit_chain() == (True, None)
+        assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
+
     def test_merge_frees_the_duplicate_physical_page(self):
         store = make_store()
         self.fill_page(store, 0, [1])
@@ -669,3 +720,51 @@ def test_random_operation_sequences_hold_the_invariants(ops):
             flags[a] = seen
     ok, broken = store.verify_audit_chain()
     assert ok, f"chain broken at {broken}"
+
+
+def assert_page_table_consistent(store):
+    view = store.page_table_view()
+    sharers = store._sharers
+    assert all(vpage in sharers[row["physical"]] for vpage, row in view.items())
+    assert all(sharers.values())
+    assert tuple(sorted(sharers)) == store.live_physical_pages()
+    for ppage in store.live_physical_pages():
+        assert store.refcount(ppage) == sum(row["physical"] == ppage for row in view.values())
+    for vpage, row in view.items():
+        assert store.is_cow(vpage) == (store.refcount(row["physical"]) > 1)
+    assert store.verify_audit_chain() == (True, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    words_per_page=st.integers(1, 2),
+    # Four pages of two values: at least two match, so a scan always merges.
+    first=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["write", "cow_write", "dedup", "protect"]),
+            st.integers(0, 3),  # virtual page, or which shared page a cow_write picks
+            st.integers(0, 1),  # offset, modulo the page size
+            st.integers(0, 1),  # value
+        ),
+        max_size=20,
+    ),
+)
+def test_the_page_table_stays_consistent_through_merges_and_cow_breaks(words_per_page, first, ops):
+    """The sharer sets, refcounts and copy-on-write flags agree after every op."""
+    store = ProtectedStore(words_per_page=words_per_page)
+    for page, value in enumerate(first):
+        store.store_write(Address(page, 0), Word(value, 8))
+    for op, page, offset, value in ops:
+        if op == "cow_write":
+            shared = [vp for vp in store.page_table_view() if store.is_cow(vp)]
+            if not shared:
+                continue
+            page = shared[page % len(shared)]
+        if op in ("write", "cow_write"):
+            store.store_write(Address(page, offset % words_per_page), Word(value, 8))
+        elif op == "dedup":
+            store.dedup_scan()
+        elif op == "protect":
+            store.protect_page(page)
+        assert_page_table_consistent(store)
