@@ -30,9 +30,10 @@ explicitly protected from deduplication.  The store owns the page table,
 a virtual-to-physical map and each physical page's sharer set, and only
 page allocation and ``dedup_scan`` write them.  A physical page's
 refcount is its number of sharers, and a virtual page is copy-on-write
-exactly when its physical page is shared.  Addresses are kept as plain
-ints: any other integer type is taken by its value, and anything else
-raises ``TypeError`` before the store changes.
+exactly when its physical page is shared.  Addresses, bit indices and
+physical coordinates are kept as plain ints: any other integer type is
+taken by its value, and anything else raises ``TypeError`` before the
+store changes, as an address outside the page space raises ``ValueError``.
 
 Hardware faults are modeled through the ``corrupt_*`` methods, which
 deliberately bypass the mediated write path and mutate zone contents
@@ -138,12 +139,6 @@ class Address(NamedTuple):
         return f"{self.page}:{self.offset}"
 
 
-def _plain_address(addr: Address) -> Address:
-    """``addr`` with each field made a plain int by its ``__index__``, or TypeError."""
-    page, offset = addr
-    return Address(operator.index(page), operator.index(offset))
-
-
 # -- the two encodings of a log entry ------------------------------------------
 #
 # An entry's chain digest is the sha256 of the entry without ``digest_self``
@@ -188,22 +183,6 @@ def _chain_digest(address: str, detail: str, digest_prev: str, event: str, seque
         f'"event":{event},"sequence":{sequence}}}'
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _entry_digest(
-    sequence: Any,
-    event: Any,
-    address: Any,
-    detail: Any,
-    digest_prev: Any,
-) -> str:
-    # Fields are encoded in sorted-key order, as json.dumps would, so a
-    # value it cannot encode raises the same error at the same field.
-    a = canonical_json(address)
-    d = canonical_json(detail)
-    p = canonical_json(digest_prev)
-    e = canonical_json(event)
-    return _chain_digest(a, d, p, e, canonical_json(sequence))
 
 
 _EVENT_NAMES = {event: event.value for event in AuditEvent}
@@ -467,23 +446,21 @@ def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optiona
         if not isinstance(detail, dict):
             raise TypeError(f"the detail of entry {position} is not a JSON object")
         sequence, event, address, digest_prev = e["sequence"], e["event"], e["address"], e["digest_prev"]
-        # The types a dump of the store holds go straight into the template;
-        # any other value is encoded as json.dumps would, subclasses included.
-        if (
-            type(sequence) is int
-            and type(event) is str
-            and type(digest_prev) is str
-            and (address is None or type(address) is str)
-        ):
-            recomputed = _chain_digest(
-                "null" if address is None else _encode_str(address),
-                _known_detail_json(detail) or canonical_json(detail),
-                _encode_str(digest_prev),
-                _encode_str(event),
-                sequence,
-            )
-        else:
-            recomputed = _entry_digest(sequence, event, address, detail, digest_prev)
+        # A field of the type a dump of the store holds goes straight into the
+        # template; any other is encoded as json.dumps would, subclasses
+        # included.  Fields go in sorted-key order, as json.dumps encodes
+        # them, so a value it cannot encode raises the same error first.
+        recomputed = _chain_digest(
+            (
+                "null" if address is None
+                else _encode_str(address) if type(address) is str
+                else canonical_json(address)
+            ),
+            _known_detail_json(detail) or canonical_json(detail),
+            _encode_str(digest_prev) if type(digest_prev) is str else canonical_json(digest_prev),
+            _encode_str(event) if type(event) is str else canonical_json(event),
+            sequence if type(sequence) is int else canonical_json(sequence),
+        )
         if digest_prev != prev or recomputed != e["digest_self"] or sequence != position:
             return False, position
         prev = e["digest_self"]
@@ -546,13 +523,10 @@ class ProtectedStore:
         down, so later writes to a flagged address are treated as
         priority regardless of the ``priority`` argument.
         """
-        page, offset = addr
-        if type(page) is not int or type(offset) is not int:
-            page, offset = addr = _plain_address(addr)
-        self._check_addr(addr)
+        addr = self._address(addr)
         if word.width != self.word_width:
             raise ValueError(f"word width {word.width} != store width {self.word_width}")
-        self._resolve_page_for_write(addr)[offset] = word.value
+        self._resolve_page_for_write(addr)[addr.offset] = word.value
         self._written.add(addr)
 
         # The flag zone records the classification whatever the
@@ -570,9 +544,7 @@ class ProtectedStore:
         Returns ``(word, validity)``; when the store's read policy is
         ``suppress_on_invalid`` the word is None if verification fails.
         """
-        page, offset = addr
-        if type(page) is not int or type(offset) is not int:
-            page, offset = addr = _plain_address(addr)
+        addr = self._address(addr)
         word = self._resolve_word(addr)
         self._log.append(AuditEvent.READ, addr)
         if self.read_policy is ReadPolicy.RETURN_UNCHECKED:
@@ -596,9 +568,7 @@ class ProtectedStore:
         snapshotted into the check zone so the very next read can already
         verify.
         """
-        page, offset = addr
-        if type(page) is not int or type(offset) is not int:
-            page, offset = addr = _plain_address(addr)
+        addr = self._address(addr)
         word = self._resolve_word(addr)
         self._set_flag(addr)
         if self._checked[True] and addr not in self._checks:
@@ -676,24 +646,21 @@ class ProtectedStore:
 
     def corrupt_data_bit(self, addr: Address, bit: int) -> None:
         """Flip one data bit in place, as induced hardware corruption would."""
-        page, offset = addr
-        if type(page) is not int or type(offset) is not int:
-            page, offset = addr = _plain_address(addr)
+        addr = self._address(addr)
         if addr not in self._written:
             raise MissingAddressError(str(addr))
-        if not 0 <= bit < self.word_width:
-            raise IndexError(f"bit {bit} out of range for width {self.word_width}")
-        self._pages[self._mapping[page]][offset] ^= 1 << bit
+        bit = self._data_bit(bit)
+        self._pages[self._mapping[addr.page]][addr.offset] ^= 1 << bit
         self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "data"})
 
     def corrupt_physical_bit(self, ppage: int, offset: int, bit: int) -> None:
         """Flip one bit by physical coordinates; all mappings observe it."""
+        ppage, offset = operator.index(ppage), operator.index(offset)
         if ppage not in self._pages:
             raise MissingAddressError(f"physical page {ppage}")
         if not 0 <= offset < self.words_per_page:
             raise IndexError(f"offset {offset} out of range")
-        if not 0 <= bit < self.word_width:
-            raise IndexError(f"bit {bit} out of range for width {self.word_width}")
+        bit = self._data_bit(bit)
         self._pages[ppage][offset] ^= 1 << bit
         self._log.append(
             AuditEvent.INJECTED_FAULT,
@@ -705,12 +672,11 @@ class ProtectedStore:
         """Flip one stored check bit; only with check-zone faults enabled."""
         if not self.allow_check_zone_faults:
             raise CheckZoneSealedError("check-zone fault injection is disabled for this store")
-        page, offset = addr
-        if type(page) is not int or type(offset) is not int:
-            page, offset = addr = _plain_address(addr)
+        addr = self._address(addr)
         check = self._checks.get(addr)
         if check is None:
             raise MissingAddressError(f"no check stored for {addr}")
+        bit = operator.index(bit)
         self._checks[addr] = check.flip_payload_bit(bit)
         self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "check"})
 
@@ -807,9 +773,26 @@ class ProtectedStore:
 
     # -- internals -----------------------------------------------------------
 
-    def _check_addr(self, addr: Address) -> None:
-        if addr.page < 0 or not 0 <= addr.offset < self.words_per_page:
+    def _address(self, addr: Address) -> Address:
+        """``addr`` as an :class:`Address` of plain ints inside this store's page space.
+
+        Another integer type is taken by its ``__index__`` and anything else
+        raises ``TypeError``; a page below 0 or an offset outside the page
+        raises ``ValueError``.
+        """
+        page, offset = addr
+        if type(page) is not int or type(offset) is not int or type(addr) is not Address:
+            page, offset = addr = Address(operator.index(page), operator.index(offset))
+        if page < 0 or not 0 <= offset < self.words_per_page:
             raise ValueError(f"address {addr} out of range (words_per_page={self.words_per_page})")
+        return addr
+
+    def _data_bit(self, bit: int) -> int:
+        """``bit`` as a plain int inside a word, or ``TypeError`` or ``IndexError``."""
+        bit = operator.index(bit)
+        if not 0 <= bit < self.word_width:
+            raise IndexError(f"bit {bit} out of range for width {self.word_width}")
+        return bit
 
     def _set_flag(self, addr: Address) -> None:
         self._raw_set_flag(addr, 1)
@@ -853,7 +836,6 @@ class ProtectedStore:
         return self._pages[pid]
 
     def _resolve_word(self, addr: Address) -> Word:
-        self._check_addr(addr)
         if addr not in self._written:
             raise MissingAddressError(str(addr))
         return Word(self._pages[self._mapping[addr.page]][addr.offset], self.word_width)

@@ -11,6 +11,7 @@ the rightmost character.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class Word:
     width: int = 8
 
     def __post_init__(self) -> None:
+        # Another integer type is taken by its value; a float or a str raises TypeError.
+        if type(self.value) is not int or type(self.width) is not int:
+            object.__setattr__(self, "value", operator.index(self.value))
+            object.__setattr__(self, "width", operator.index(self.width))
         if not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
         if not 0 <= self.value < (1 << self.width):

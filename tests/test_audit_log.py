@@ -467,6 +467,15 @@ def test_append_keeps_its_own_copy_of_the_detail():
     assert log.to_dicts()[0]["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1]}
 
 
+def test_entries_with_one_list_holding_detail_share_no_list():
+    log = AuditLog()
+    for _ in range(2):
+        log.append(AuditEvent.MERGE, None, {"freed": 1, "survivor": 0, "virtual_pages": [1]})
+    first, second = log.to_dicts()
+    first["detail"]["virtual_pages"].append(2)
+    assert second["detail"]["virtual_pages"] == [1]
+
+
 @pytest.mark.parametrize(
     "detail",
     [[("freed", 1)], 0, "", [], False, (), '{"priority":false,"protected":false}'],

@@ -303,6 +303,96 @@ class TestPhysicalFaults:
         assert store.physical_words(0)[0] == 1
 
 
+class TestPlainIntInputs:
+    """Every address, bit index and physical coordinate enters the store as a plain int."""
+
+    @staticmethod
+    def two_page_store():
+        store = make_store(codec="dup", strategy=Strategy.FULL, allow_check_zone_faults=True)
+        store.store_write(Address(0, 1), Word(0, 8))
+        store.store_write(Address(1, 1), Word(0, 8))
+        return store
+
+    @pytest.mark.parametrize("one", [np.int64(1), True, _NamedPage.ONE], ids=["numpy", "bool", "IntEnum"])
+    @pytest.mark.parametrize(
+        "corrupt, address, detail",
+        [
+            (lambda s, one: s.corrupt_data_bit(Address(one, one), one), "1:1", {"bit": 1, "zone": "data"}),
+            (
+                lambda s, one: s.corrupt_physical_bit(one, one, one),
+                None,
+                {"bit": 1, "offset": 1, "physical_page": 1, "zone": "data"},
+            ),
+            (lambda s, one: s.corrupt_check_bit(Address(one, one), one), "1:1", {"bit": 1, "zone": "check"}),
+        ],
+        ids=["data", "physical", "check"],
+    )
+    def test_a_fault_given_other_integer_types_flips_the_bit_and_logs_plain_ints(
+        self, corrupt, address, detail, one
+    ):
+        store = self.two_page_store()
+        check = store.check_for(Address(1, 1))
+        corrupt(store, one)
+        if detail["zone"] == "data":
+            assert store.physical_words(1)[1] == 0b10
+        else:
+            assert type(store.check_for(Address(1, 1)).value) is int
+            assert store.check_for(Address(1, 1)).value == check.value ^ 0b10
+        fault = store.audit_entries(-1)[0]
+        assert (fault["event"], fault["address"], fault["detail"]) == (AuditEvent.INJECTED_FAULT, address, detail)
+        assert [type(v) for v in fault["detail"].values()] == [type(v) for v in detail.values()]
+        assert store.verify_audit_chain() == (True, None)
+        assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
+
+    def test_a_float_physical_page_is_refused_before_the_store_changes(self):
+        store = self.two_page_store()
+        before = store.dump_text()
+        with pytest.raises(TypeError):
+            store.corrupt_physical_bit(0.0, 0, 1)
+        assert store.dump_text() == before
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, addr: s.store_write(addr, Word(1, 8)),
+            lambda s, addr: s.store_read(addr),
+            lambda s, addr: s.set_priority(addr),
+            lambda s, addr: s.corrupt_data_bit(addr, 0),
+            lambda s, addr: s.corrupt_check_bit(addr, 0),
+        ],
+        ids=["store_write", "store_read", "set_priority", "corrupt_data_bit", "corrupt_check_bit"],
+    )
+    @pytest.mark.parametrize(
+        "addr, error",
+        [
+            (Address(0, 1.0), TypeError),
+            (Address("0", 1), TypeError),
+            (Address(-1, 1), ValueError),
+            (Address(0, 8), ValueError),
+        ],
+        ids=["float", "str", "page -1", "offset words_per_page"],
+    )
+    def test_a_bad_address_raises_one_error_before_the_store_changes(self, call, addr, error):
+        store = self.two_page_store()
+        before = store.dump_text()
+        with pytest.raises(error):
+            call(store, addr)
+        assert store.dump_text() == before
+
+    def test_a_tuple_address_is_taken_as_an_address(self):
+        store = make_store()
+        store.store_write((0, 1), Word(1, 8))
+        assert store.store_read((0, 1)).word == Word(1, 8)
+        assert [e["address"] for e in store.audit_entries()] == ["0:1", "0:1"]
+
+    def test_a_float_word_is_refused_before_the_store_changes(self):
+        store = make_store()
+        with pytest.raises(TypeError):
+            store.store_write(Address(0, 0), Word(1.0, 8))
+        assert store.live_physical_pages() == ()
+        assert store.audit_entries() == []
+
+
 class TestDedupAndCow:
     def fill_page(self, store, vpage, values, priority=False):
         for offset, value in enumerate(values):

@@ -50,6 +50,18 @@ class TestWord:
         assert Word.from_string(str(w)) == w
 
 
+    @pytest.mark.parametrize("value,width", [(np.int64(5), 8), (5, np.uint8(8)), (True, 1)])
+    def test_other_integer_types_are_taken_as_plain_ints(self, value, width):
+        w = Word(value, width)
+        assert (type(w.value), type(w.width)) == (int, int)
+        assert w == Word(int(value), int(width))
+
+    @pytest.mark.parametrize("value,width", [(1.0, 8), (1, 8.0), ("1", 8)])
+    def test_a_non_integer_value_or_width_is_refused(self, value, width):
+        with pytest.raises(TypeError):
+            Word(value, width)
+
+
 class TestFlipBit:
     def test_flipping_position_two(self):
         assert flip_bit(Word.from_string("10110"), 2) == Word.from_string("10010")
