@@ -239,7 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         if out_path is not None:
             csv_path = out_path / f"records_{strategy.value}.csv"
-            with open(csv_path, "w") as fh:
+            with open(csv_path, "wb") as fh:
                 records.write_csv(fh)
             outputs.append(csv_path)
             report_path = out_path / f"report_{strategy.value}.json"

@@ -46,6 +46,7 @@ constant per word.
 
 from __future__ import annotations
 
+import io
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -60,8 +61,10 @@ from .store import CHECKED_BY_PRIORITY, Address, ProtectedStore, ReadPolicy, Str
 from .words import MAX_WIDTH, RandomSource, Word, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
-_CSV_CHUNK = 65536  # most rows RecordSet.write_csv assembles at once
-_CSV_WRITE = 16384  # most rows RecordSet.write_csv passes to one fh.write
+# "0000" to "9999", the last four digits of an op_id, built with numpy
+# arithmetic: a list of 10,000 f-strings costs 50-odd ms at import.
+_OP_ID_LOW = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_OP_ID_LOW = (_OP_ID_LOW % 10 + ord("0")).astype(np.uint8).view("S4")[:, 0]
 _DRAW_CHUNK = 65536  # most uniforms draw_plan holds at once
 
 DEFAULT_PRIORITY_FRACTION = 0.15
@@ -140,57 +143,68 @@ class RecordSet:
     def __len__(self) -> int:
         return len(self.priority)
 
-    def write_csv(self, fh: IO[str]) -> None:
+    def write_csv(self, fh: Union[IO[bytes], IO[str]]) -> None:
         """Emit one row per operation under the fixed header.
 
-        A row is its ``op_id`` followed by a suffix.  Each chunk of rows
+        The CSV is ASCII.  A binary sink (an ``io.RawIOBase`` or
+        ``io.BufferedIOBase``, such as a file opened ``"wb"``) gets it as
+        bytes; any other sink gets ``str``.  Only ``fh.write`` is called on
+        ``fh``, with at most 10,000 rows at a time.
+
+        A row is its ``op_id`` followed by a suffix.  The record set
         formats two plain suffixes, one per priority flag, plus one per
         distinct ``(flip position, detection, priority)`` of its injected
-        rows, and assembles its rows as bytes with numpy: a row's index
-        into that NUL-padded table is its priority flag, patched at the
-        injected rows; the op_id digits are written in front, and the
-        padding is dropped.  Chunks also split at each power of ten, so
-        all op_ids in a chunk have the same number of digits.  Only
-        ``fh.write`` is called on ``fh``, with at most 16,384 rows at a
-        time.
+        rows, into a NUL-padded table with room for the op_id in front.
+        Chunks split at each multiple of 10,000 and each power of ten, so
+        all op_ids in a chunk have the same number of digits and the same
+        digits above the last four.  A chunk writes those high digits into
+        the table, takes one table row per op with numpy (its priority
+        flag, patched at the injected ops), copies the last four digits in
+        from one contiguous slice of ``_OP_ID_LOW``, the 10,000 four-digit
+        strings, and drops the padding.
         """
-        fh.write(CSV_HEADER + "\n")
-        n = len(self)
-        cuts = sorted({*range(0, n, _CSV_CHUNK), *(10**k for k in range(1, len(str(n)))), n})
-        for start, stop in zip(cuts, cuts[1:]):
-            hit = slice(*np.searchsorted(self.injected, (start, stop)).tolist())
-            ops = self.injected[hit]
-            # Pack (flip position, detected, priority) into one int per injected row.
-            key = self.flip_bits[hit].astype(np.int64) << 2
-            key += self.flip_detected[hit] << 1
-            key += self.priority[ops]
-            keys, which = np.unique(key, return_inverse=True)
+        binary = isinstance(fh, (io.RawIOBase, io.BufferedIOBase))
+        header = CSV_HEADER + "\n"
+        fh.write(header.encode("ascii") if binary else header)
+        # Pack (flip position, detected, priority) into one int per injected row.
+        key = self.flip_bits.astype(np.int64) << 2
+        key += self.flip_detected << 1
+        key += self.priority[self.injected]
+        keys, which = np.unique(key, return_inverse=True)
+        which += 2
+        suffixes = [self._suffix(pri, None, False) for pri in (False, True)]
+        suffixes += [self._suffix(k & 1, k >> 2, k >> 1 & 1) for k in keys.tolist()]
 
-            digits = len(str(start))
-            suffixes = [self._suffix(pri, None, False) for pri in (False, True)]
-            suffixes += [self._suffix(k & 1, k >> 2, k >> 1 & 1) for k in keys.tolist()]
-            table = np.array([b"\0" * digits + suffix for suffix in suffixes])
-            table = table.view(np.uint8).reshape(len(suffixes), -1)
+        n = len(self)
+        block = len(_OP_ID_LOW)
+        cuts = sorted({*range(0, n, block), *(10**k for k in range(1, len(str(n)))), n})
+        digits = 0
+        for start, stop in zip(cuts, cuts[1:]):
+            if len(str(start)) != digits:
+                digits = len(str(start))
+                table = np.array([b"\0" * digits + suffix for suffix in suffixes])
+                table = table.view(np.uint8).reshape(len(suffixes), table.itemsize)
+                # Every chunk's rows go into one buffer: glibc malloc serves
+                # a block at or above its mmap threshold with fresh pages on
+                # every call and gives a large free block at the heap's top
+                # back to the kernel, so an array per chunk faults its pages
+                # in again each time (2.4 times the page faults of a
+                # full-scale --compare --out run).
+                buf = np.empty((block, table.shape[1]), np.uint8)
+                low = min(digits, 4)
+                high = digits - low
+                low_digits = _OP_ID_LOW.view(np.uint8).reshape(block, 4)[:, 4 - low :]
+                low_digits = low_digits.view(f"S{low}")[:, 0]
+            hit = slice(*np.searchsorted(self.injected, (start, stop)).tolist())
             index = self.priority[start:stop].astype(np.intp)
-            index[ops - start] = which + 2
-            rows = np.take(table, index, axis=0)
-            # Digits are built contiguously and copied in once; // by a
-            # scalar is much faster than % on numpy integer arrays.
-            ids = np.arange(start, stop, dtype=np.uint32 if stop <= 1 << 32 else np.uint64)
-            id_digits = np.empty((digits, stop - start), dtype=np.uint8)
-            for place in range(digits - 1, -1, -1):
-                quotient = ids // 10
-                id_digits[place] = ids - quotient * 10
-                ids = quotient
-            id_digits += ord("0")
-            rows[:, :digits] = id_digits.T
-            # glibc malloc serves a block at or above its mmap threshold
-            # with fresh pages on every call, and freeing the chunk's arrays
-            # raises the threshold only to their own size; text cut smaller
-            # than them reuses heap pages instead of faulting in new ones.
-            for row in range(0, stop - start, _CSV_WRITE):
-                piece = rows[row : row + _CSV_WRITE].tobytes()
-                fh.write(piece.replace(b"\0", b"").decode("ascii"))
+            index[self.injected[hit] - start] = which[hit]
+            if high:
+                table[:, :high] = np.frombuffer(str(start // block).encode("ascii"), np.uint8)
+            rows = np.take(table, index, axis=0, out=buf[: stop - start])
+            first = start % block
+            rows[:, high:digits].view(f"S{low}")[:, 0] = low_digits[first : first + stop - start]
+            piece = rows.tobytes().replace(b"\0", b"")
+            fh.write(piece if binary else piece.decode("ascii"))
 
     def _suffix(self, priority: bool, bit: Optional[int], detected: bool) -> bytes:
         """The row text after ``op_id``; ``bit`` is None for an op not injected."""

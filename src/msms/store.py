@@ -491,6 +491,7 @@ class ProtectedStore:
         words_per_page: int = DEFAULT_WORDS_PER_PAGE,
         allow_check_zone_faults: bool = False,
     ):
+        word_width, words_per_page = operator.index(word_width), operator.index(words_per_page)
         if not 1 <= word_width <= MAX_WIDTH:
             raise ValueError(f"word_width must be in [1, {MAX_WIDTH}], got {word_width}")
         if words_per_page < 1:
@@ -576,8 +577,8 @@ class ProtectedStore:
         self._log.append(AuditEvent.FLAG_SET, addr)
 
     def protect_page(self, vpage: int) -> None:
-        """Exempt a virtual page from deduplication."""
-        self._protected.add(vpage if type(vpage) is int else operator.index(vpage))
+        """Exempt a virtual page from deduplication; the page obeys the address rule."""
+        self._protected.add(self._address(Address(vpage, 0)).page)
 
     def dedup_scan(self) -> MergeReport:
         """Merge identical physical pages, sparing protected ones.

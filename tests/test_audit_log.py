@@ -476,6 +476,15 @@ def test_entries_with_one_list_holding_detail_share_no_list():
     assert second["detail"]["virtual_pages"] == [1]
 
 
+def test_entries_with_one_dict_holding_detail_share_no_dict():
+    log = AuditLog()
+    for _ in range(2):
+        log.append(AuditEvent.INJECTED_FAULT, None, {"where": {"page": 0}, "zone": "data"})
+    first, second = log.to_dicts()
+    first["detail"]["where"]["page"] = 1
+    assert second["detail"]["where"] == {"page": 0}
+
+
 @pytest.mark.parametrize(
     "detail",
     [[("freed", 1)], 0, "", [], False, (), '{"priority":false,"protected":false}'],

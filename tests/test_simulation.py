@@ -17,6 +17,7 @@ from msms import (
     CostDescriptor,
     ProtectedStore,
     ReadResult,
+    RecordSet,
     SimulationConfig,
     Strategy,
     baseline_steps,
@@ -304,7 +305,7 @@ class TestRecordMemory:
     def test_write_csv_memory_is_bounded_by_its_chunk(self):
         _, records = run_simulation(SimulationConfig(n_ops=self.N_OPS, seed=3))
         records.write_csv(_NullSink())  # first-call set-up is not the writer's
-        # 65,536 rows of about 40 bytes, in a few copies; n rows would be 40 MB.
+        # 10,000 rows of about 40 bytes, in a few copies; n rows would be 40 MB.
         assert _peak_bytes(lambda: records.write_csv(_NullSink())) < 16 * 2**20
 
     def test_the_strategies_share_one_priority_mask(self):
@@ -514,56 +515,94 @@ class TestRecords:
         assert CSV_HEADER == "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, sink",
         [
-            small_config(n_ops=1, per_op_probability=0.05),
-            small_config(n_ops=10, per_op_probability=0.05),
-            small_config(n_ops=200, per_op_probability=0.05),
-            # Crosses a 65,536-row chunk and the 5->6 digit op_id boundary;
-            # check-zone flips land at bit positions >= 64.
-            small_config(
-                n_ops=100_050,
-                codec="dup",
-                inject_check_zone=True,
-                word_width=64,
-                per_op_probability=0.05,
-            ),
+            pytest.param(cfg, sink, id=case + suffix)
+            for case, cfg in [
+                ("n1", small_config(n_ops=1, per_op_probability=0.05)),
+                ("n10", small_config(n_ops=10, per_op_probability=0.05)),
+                ("n200", small_config(n_ops=200, per_op_probability=0.05)),
+                # Crosses ten 10,000-row chunks and the 5->6 digit op_id
+                # boundary; check-zone flips land at bit positions >= 64.
+                (
+                    "n100050-dup-check-zone-w64",
+                    small_config(
+                        n_ops=100_050,
+                        codec="dup",
+                        inject_check_zone=True,
+                        word_width=64,
+                        per_op_probability=0.05,
+                    ),
+                ),
+            ]
+            for sink, suffix in [(io.StringIO, ""), (io.BytesIO, "-bytes")]
         ],
-        ids=["n1", "n10", "n200", "n100050-dup-check-zone-w64"],
     )
-    def test_csv_rows_match_the_records(self, cfg):
+    def test_csv_rows_match_the_records(self, cfg, sink):
         _, records = run_simulation(cfg, engine="fast")
         assert len(records) == cfg.n_ops
-        buf = io.StringIO()
-        records.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == cfg.n_ops + 1
-        assert buf.getvalue().endswith("\n")
+        assert _csv_lines(records, sink) == [CSV_HEADER] + _expected_rows(records)
 
-        def text(flag):
-            return "true" if flag else "false"
+    def test_the_text_and_the_binary_sink_get_the_same_bytes(self):
+        _, records = run_simulation(small_config(n_ops=20_001, per_op_probability=0.05))
+        text, binary = io.StringIO(), io.BytesIO()
+        records.write_csv(text)
+        records.write_csv(binary)
+        assert binary.getvalue() == text.getvalue().encode("ascii")
 
-        flips = dict(
-            zip(
-                records.injected.tolist(),
-                zip(records.flip_bits.tolist(), records.flip_detected.tolist()),
-            )
+    def test_injected_rows_at_the_digit_and_chunk_edges(self):
+        # Injected ops on both sides of each power of ten and of a
+        # 10,000-row chunk edge, at one- and two-digit flip positions.
+        injected = np.array([0, 9, 99, 999, 9_999, 10_000, 19_999, 20_000, 99_999, 100_000])
+        priority = np.random.default_rng(7).random(100_001) < 0.3
+        records = RecordSet(
+            Strategy.FULL,
+            priority,
+            (5, 11),
+            injected,
+            np.arange(len(injected)) * 7 % 64,
+            np.arange(len(injected)) % 3 == 0,
         )
-        expected = []
-        for op_id, pri in enumerate(records.priority.tolist()):
-            bit, det = flips.get(op_id, (-1, False))
-            steps = records.steps_by_priority[pri]
-            expected.append(
-                f"{op_id},{text(pri)},enhanced,{text(bit >= 0)},"
-                f"{bit if bit >= 0 else ''},{text(det)},{steps}"
-            )
-        assert lines[1:] == expected
+        for sink in (io.StringIO, io.BytesIO):
+            assert _csv_lines(records, sink) == [CSV_HEADER] + _expected_rows(records)
 
     def test_steps_column_sums_to_the_total(self):
         report, records = run_simulation(small_config(), engine="fast")
         steps = np.take(records.steps_by_priority, records.priority)
         assert int(steps.sum()) == report.totals.total_steps
+
+
+def _csv_lines(records, sink_type):
+    """The CSV ``write_csv`` writes to a fresh ``sink_type()``, split into lines."""
+    sink = sink_type()
+    records.write_csv(sink)
+    out = sink.getvalue()
+    text = out if isinstance(out, str) else out.decode("ascii")
+    assert text.endswith("\n")
+    return text.splitlines()
+
+
+def _expected_rows(records):
+    """Each operation's CSV row, formatted one at a time from the record set."""
+
+    def text(flag):
+        return "true" if flag else "false"
+
+    flips = dict(
+        zip(
+            records.injected.tolist(),
+            zip(records.flip_bits.tolist(), records.flip_detected.tolist()),
+        )
+    )
+    expected = []
+    for op_id, pri in enumerate(records.priority.tolist()):
+        bit, det = flips.get(op_id, (-1, False))
+        steps = records.steps_by_priority[pri]
+        expected.append(
+            f"{op_id},{text(pri)},{records.strategy.value},{text(bit >= 0)},"
+            f"{bit if bit >= 0 else ''},{text(det)},{steps}"
+        )
+    return expected
 
 
 class _HashSink:
@@ -717,6 +756,9 @@ class TestComplexityAudit:
         assert result.max_residual <= 1e-9
         assert result.slope == pytest.approx(1.0)
         assert result.intercept == pytest.approx(2.0)
+
+    def test_the_default_widths_are_8_16_32(self):
+        assert complexity_audit() == complexity_audit(widths=(8, 16, 32))
 
     def test_steps_pinned_up_to_width_64(self):
         result = complexity_audit(widths=(8, 16, 32, 64))

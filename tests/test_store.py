@@ -112,6 +112,23 @@ class TestReadWrite:
         with pytest.raises(TypeError):
             make_store().protect_page(1.5)
 
+    @pytest.mark.parametrize(
+        "vpage, error",
+        [(-1, ValueError), (1.5, TypeError), ("1", TypeError)],
+        ids=["negative", "float", "str"],
+    )
+    def test_a_refused_page_leaves_the_protected_set_unchanged(self, vpage, error):
+        store = make_store()
+        store.protect_page(2)
+        with pytest.raises(error):
+            store.protect_page(vpage)
+        assert store._protected == {2}
+
+    @pytest.mark.parametrize("setting", [{"word_width": 8.0}, {"words_per_page": 2.5}], ids=["width", "page"])
+    def test_a_float_store_geometry_is_refused(self, setting):
+        with pytest.raises(TypeError):
+            make_store(**setting)
+
     @pytest.mark.parametrize("value", [True, _NamedPage.ONE], ids=["bool", "IntEnum"])
     @pytest.mark.parametrize("field", ["page", "offset"])
     def test_an_address_of_another_integer_type_is_taken_by_its_ints(self, field, value):
