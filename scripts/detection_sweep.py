@@ -16,6 +16,7 @@ from msms import (
     EXPECTED_ERROR_COUNT,
     Strategy,
     SimulationConfig,
+    codec_names,
     run_comparison,
 )
 
@@ -24,7 +25,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=DEFAULT_N_OPS, help="operations per run")
     ap.add_argument("--runs", type=int, default=100, help="number of seeds, starting at 0")
-    ap.add_argument("--codec", default="parity")
+    ap.add_argument("--codec", default="parity", choices=codec_names())
     args = ap.parse_args()
 
     lo = EXPECTED_ERROR_COUNT - ERROR_COUNT_TOLERANCE

@@ -13,6 +13,7 @@ from msms import (
     DEFAULT_N_OPS,
     Strategy,
     baseline_steps,
+    codec_names,
     get_codec,
     run_comparison,
     SimulationConfig,
@@ -28,7 +29,7 @@ def main() -> None:
     ap.add_argument("--width", type=int, default=DEFAULT_WORD_WIDTH)
     ap.add_argument("--p-priority", type=float, default=DEFAULT_PRIORITY_FRACTION)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--codec", default="parity")
+    ap.add_argument("--codec", default="parity", choices=codec_names())
     args = ap.parse_args()
 
     print(f"n={args.n} width={args.width} P={args.p_priority} codec={args.codec}")

@@ -40,6 +40,7 @@ from .simulation import (
     SimulationConfig,
     baseline_steps,
     run_simulation,
+    step_cost,
     theoretical_cost,
 )
 from .store import Address, ProtectedStore, Strategy, verify_entry_dicts
@@ -259,17 +260,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(_format_table(headers, table_rows))
 
     if args.compare:
-        # The selective strategy's cost decomposes as the unprotected
-        # total plus (priority count) x (B + 2); surface that identity.
-        b = baseline_steps(base_cfg.word_width)
+        # The selective strategy's cost decomposes as the unprotected total plus
+        # (priority count) x (B + 2), a checked op's extra steps; surface that identity.
+        w = base_cfg.word_width
+        extra = step_cost(Strategy.ENHANCED, True, w) - step_cost(Strategy.NONE, True, w)
         none_t = totals_by_strategy[Strategy.NONE.value]
         enh_t = totals_by_strategy[Strategy.ENHANCED.value]
         identity_holds = (
-            none_t["total_steps"] + enh_t["priority_ops"] * (b + 2)
-            == enh_t["total_steps"]
+            none_t["total_steps"] + enh_t["priority_ops"] * extra == enh_t["total_steps"]
         )
         print(
-            f"enhanced == none + priority_ops x (B+2) with B={b}: "
+            f"enhanced == none + priority_ops x (B+2) with B={baseline_steps(w)}: "
             f"{'yes' if identity_holds else 'NO'}"
         )
         if out_path is not None:

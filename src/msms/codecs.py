@@ -25,12 +25,13 @@ by one of these names.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .words import Word, flip_bit
+from .words import Word, as_position, bit_string, flip_bit
 
 Rational = Union[int, Fraction]
 
@@ -55,6 +56,7 @@ class CodecCheck:
 
     ``value`` is an unsigned integer of ``size`` bits, bit 0 the least
     significant; ``size`` is the producing codec's ``check_bits(width)``.
+    A ``value`` of another integer type is taken as a plain int; a float raises ``TypeError``.
     """
 
     codec_id: CodecId
@@ -62,19 +64,19 @@ class CodecCheck:
     size: int
 
     def __post_init__(self) -> None:
+        if type(self.value) is not int:
+            object.__setattr__(self, "value", operator.index(self.value))
         if not 0 <= self.value < 1 << self.size:
             raise ValueError(f"check value {self.value} does not fit in {self.size} bits")
 
     @property
     def payload_str(self) -> str:
         """The check's bits, most significant first, as state dumps write them."""
-        return format(self.value, f"0{self.size}b") if self.size else ""
+        return bit_string(self.value, self.size)
 
     def flip_payload_bit(self, pos: int) -> "CodecCheck":
         """The check with one bit inverted; position 0 is least significant."""
-        if not 0 <= pos < self.size:
-            raise IndexError(f"check bit {pos} out of range for a {self.size}-bit check")
-        return CodecCheck(self.codec_id, self.value ^ 1 << pos, self.size)
+        return CodecCheck(self.codec_id, self.value ^ 1 << as_position(pos, self.size), self.size)
 
 
 @dataclass(frozen=True)

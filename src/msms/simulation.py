@@ -47,6 +47,7 @@ constant per word.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -58,7 +59,7 @@ from ._version import __version__ as _version
 from .codecs import CostDescriptor, get_codec
 from .faults import DEFAULT_ERROR_PROBABILITY, DEFAULT_N_OPS
 from .store import CHECKED_BY_PRIORITY, Address, ProtectedStore, ReadPolicy, Strategy, Validity
-from .words import MAX_WIDTH, RandomSource, Word, flip_bit
+from .words import RandomSource, Word, as_seed, as_width, flip_bit
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 # "0000" to "9999", the last four digits of an op_id, built with numpy
@@ -86,18 +87,17 @@ class SimulationConfig:
     priority_mode: str = "bernoulli"  # "quota" fixes the priority count exactly
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_ops", operator.index(self.n_ops))
+        object.__setattr__(self, "word_width", as_width(self.word_width))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.n_ops < 1:
             raise ValueError("n_ops must be >= 1")
-        if not 1 <= self.word_width <= MAX_WIDTH:
-            raise ValueError(f"word_width must be in [1, {MAX_WIDTH}]")
         if not 0.0 <= self.priority_fraction <= 1.0:
             raise ValueError("priority_fraction must be in [0, 1]")
         if not 0.0 <= self.per_op_probability <= 1.0:
             raise ValueError("per_op_probability must be in [0, 1]")
         object.__setattr__(self, "strategy", Strategy(self.strategy))
         get_codec(self.codec)
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
         if self.priority_mode not in ("bernoulli", "quota"):
             raise ValueError(f"unknown priority_mode {self.priority_mode!r}")
 
@@ -276,7 +276,10 @@ class OperationPlan:
         return int(np.count_nonzero(self.priority))
 
     def _ops(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)  # an integer or bool array is taken by value; [] comes as float64
+        if idx.dtype.kind not in "biu" and idx.size:
+            raise TypeError(f"op indices must be integers, not {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size and not 0 <= idx.min() <= idx.max() < self.n_ops:
             raise IndexError(f"op index out of range for a plan of {self.n_ops} ops")
         return idx

@@ -53,7 +53,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from ._version import __version__ as _version
 from .codecs import CodecCheck, CodecId, get_codec
-from .words import MAX_WIDTH, Word
+from .words import Word, as_position, as_width, bit_string
 
 DEFAULT_WORDS_PER_PAGE = 512
 
@@ -251,24 +251,6 @@ class _MergeDetail(NamedTuple):
 # stands in: for the check, priority and log zones, in that order.
 _ZONE_PLACEHOLDER = "\0msms zone\0"
 _ZONE_SLOT = _encode_str(_ZONE_PLACEHOLDER)
-
-
-class _BitStrings(dict):
-    """Values to their ``size``-bit strings, most significant bit first.
-
-    Each value is formatted on first use; size 0 gives ``""``, as
-    :attr:`CodecCheck.payload_str` does.
-    """
-
-    __slots__ = ("_spec",)
-
-    def __init__(self, size: int):
-        super().__init__()
-        self._spec = f"0{size}b" if size else None
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = format(value, self._spec) if self._spec else ""
-        return text
 
 
 def _indented(opening: str, items: list[str], closing: str) -> str:
@@ -491,9 +473,7 @@ class ProtectedStore:
         words_per_page: int = DEFAULT_WORDS_PER_PAGE,
         allow_check_zone_faults: bool = False,
     ):
-        word_width, words_per_page = operator.index(word_width), operator.index(words_per_page)
-        if not 1 <= word_width <= MAX_WIDTH:
-            raise ValueError(f"word_width must be in [1, {MAX_WIDTH}], got {word_width}")
+        word_width, words_per_page = as_width(word_width), operator.index(words_per_page)
         if words_per_page < 1:
             raise ValueError("words_per_page must be positive")
         self.codec = get_codec(codec)
@@ -650,18 +630,17 @@ class ProtectedStore:
         addr = self._address(addr)
         if addr not in self._written:
             raise MissingAddressError(str(addr))
-        bit = self._data_bit(bit)
+        bit = as_position(bit, self.word_width)
         self._pages[self._mapping[addr.page]][addr.offset] ^= 1 << bit
         self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "data"})
 
     def corrupt_physical_bit(self, ppage: int, offset: int, bit: int) -> None:
         """Flip one bit by physical coordinates; all mappings observe it."""
-        ppage, offset = operator.index(ppage), operator.index(offset)
+        ppage = operator.index(ppage)
         if ppage not in self._pages:
             raise MissingAddressError(f"physical page {ppage}")
-        if not 0 <= offset < self.words_per_page:
-            raise IndexError(f"offset {offset} out of range")
-        bit = self._data_bit(bit)
+        offset = as_position(offset, self.words_per_page, "offset")
+        bit = as_position(bit, self.word_width)
         self._pages[ppage][offset] ^= 1 << bit
         self._log.append(
             AuditEvent.INJECTED_FAULT,
@@ -732,18 +711,15 @@ class ProtectedStore:
             ]
         )
 
-    def _payloads(self) -> _BitStrings:
-        """The payload text of each check value, for one dump.
-
-        Every check in the zone comes from the store's one codec at the
-        store's width, so all have the same codec name and size.
-        """
-        return _BitStrings(self.codec.check_bits(self.word_width))
+    def _payloads(self) -> dict[int, str]:
+        """The payload text of each distinct check value; all share the store's codec and width."""
+        size = self.codec.check_bits(self.word_width)
+        return {v: bit_string(v, size) for v in {c.value for c in self._checks.values()}}
 
     def _state(self, check: Any, priority: Any, log: Any) -> dict[str, Any]:
         # Most words of a page repeat (an unwritten word is 0), so each
         # distinct value is formatted once per dump.
-        bits = {v: format(v, f"0{self.word_width}b") for v in set().union(*self._pages.values())}
+        bits = {v: bit_string(v, self.word_width) for v in set().union(*self._pages.values())}
         return {
             "metadata": {
                 "tool": "msms",
@@ -787,13 +763,6 @@ class ProtectedStore:
         if page < 0 or not 0 <= offset < self.words_per_page:
             raise ValueError(f"address {addr} out of range (words_per_page={self.words_per_page})")
         return addr
-
-    def _data_bit(self, bit: int) -> int:
-        """``bit`` as a plain int inside a word, or ``TypeError`` or ``IndexError``."""
-        bit = operator.index(bit)
-        if not 0 <= bit < self.word_width:
-            raise IndexError(f"bit {bit} out of range for width {self.word_width}")
-        return bit
 
     def _set_flag(self, addr: Address) -> None:
         self._raw_set_flag(addr, 1)

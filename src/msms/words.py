@@ -1,8 +1,10 @@
-"""Fixed-width bit vectors, single-bit flips, and seeded randomness.
+"""Fixed-width bit vectors, single-bit flips, seeded randomness, and the word rules.
 
-Everything else in the package is built on these three pieces: an
-immutable ``Word`` value type, a single-bit flip primitive, and a
-``RandomSource`` whose draws are bit-exact reproducible per seed.
+Everything else in the package is built on these pieces: an immutable
+``Word`` value type, a single-bit flip primitive, a ``RandomSource``
+whose draws are bit-exact reproducible per seed, and the word rules: one
+function each decides a width, a seed, a bit position and a bit string,
+taking an integer as a plain int (another integer type by its value).
 
 Bit positions are 0-based from the least-significant bit.  String
 rendering is most-significant bit first (``"10110"``), so position 0 is
@@ -17,6 +19,36 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_WIDTH = 64
+_WIDTHS = frozenset(range(1, MAX_WIDTH + 1))
+
+
+def as_width(width: int) -> int:
+    """``width`` as a plain int word width in [1, MAX_WIDTH]."""
+    width = operator.index(width)
+    if width not in _WIDTHS:
+        raise ValueError(f"word_width must be in [1, {MAX_WIDTH}], got {width}")
+    return width
+
+
+def as_seed(seed: int) -> int:
+    """``seed`` as a plain int unsigned 64-bit seed."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def as_position(pos: int, size: int, what: str = "bit") -> int:
+    """``pos`` as a plain int position in [0, size); ``what`` names it in the error."""
+    pos = operator.index(pos)
+    if not 0 <= pos < size:
+        raise IndexError(f"{what} {pos} out of range for width {size}")
+    return pos
+
+
+def bit_string(value: int, size: int) -> str:
+    """The ``size`` bits of ``value``, most significant first; ``""`` for size 0."""
+    return format(value, f"0{size}b") if size else ""
 
 
 @dataclass(frozen=True)
@@ -31,12 +63,11 @@ class Word:
     width: int = 8
 
     def __post_init__(self) -> None:
-        # Another integer type is taken by its value; a float or a str raises TypeError.
-        if type(self.value) is not int or type(self.width) is not int:
+        # A plain int value with a plain int width in range skips the rules; anything
+        # else goes through them, so another integer type is taken by its value.
+        if type(self.value) is not int or type(self.width) is not int or self.width not in _WIDTHS:
             object.__setattr__(self, "value", operator.index(self.value))
-            object.__setattr__(self, "width", operator.index(self.width))
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
+            object.__setattr__(self, "width", as_width(self.width))
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} out of range for width {self.width}")
 
@@ -52,8 +83,7 @@ class Word:
         return cls(0, width)
 
     def bit(self, pos: int) -> int:
-        _check_pos(pos, self.width)
-        return (self.value >> pos) & 1
+        return (self.value >> as_position(pos, self.width)) & 1
 
     def ones(self) -> int:
         return self.value.bit_count()
@@ -62,12 +92,7 @@ class Word:
         return self.width - self.value.bit_count()
 
     def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b")
-
-
-def _check_pos(pos: int, width: int) -> None:
-    if not 0 <= pos < width:
-        raise IndexError(f"bit position {pos} out of range for width {width}")
+        return bit_string(self.value, self.width)
 
 
 def flip_bit(word: Word, pos: int) -> Word:
@@ -76,8 +101,7 @@ def flip_bit(word: Word, pos: int) -> Word:
     Raises IndexError for an out-of-range position.  Applying the same
     flip twice returns the original word.
     """
-    _check_pos(pos, word.width)
-    return Word(word.value ^ (1 << pos), word.width)
+    return Word(word.value ^ (1 << as_position(pos, word.width)), word.width)
 
 
 class RandomSource:
@@ -89,9 +113,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < (1 << 64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self.seed = int(seed)
+        self.seed = as_seed(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     @property
@@ -112,8 +134,8 @@ class RandomSource:
 
     def derive(self, index: int) -> "RandomSource":
         """Independent child source; deterministic in (seed, index)."""
-        child = np.random.SeedSequence([self.seed, int(index)]).generate_state(1, np.uint64)[0]
-        return RandomSource(int(child))
+        entropy = [self.seed, operator.index(index)]
+        return RandomSource(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -239,3 +240,22 @@ class TestRegistryAndChecks:
             assert len(check.payload_str) == codec.check_bits(width) == check.size
             with pytest.raises(IndexError):
                 check.flip_payload_bit(codec.check_bits(width))
+
+    def test_check_takes_its_value_as_a_plain_int(self):
+        check = CodecCheck(CodecId.PARITY, np.int64(1), 1)
+        assert type(check.value) is int
+        assert check == CodecCheck(CodecId.PARITY, 1, 1)
+        for value in (1.0, "1"):
+            with pytest.raises(TypeError):
+                CodecCheck(CodecId.PARITY, value, 1)
+
+    def test_payload_flip_takes_its_position_as_a_plain_int(self):
+        check = CodecCheck(CodecId.BERGER, 0b010, 3)
+        assert check.flip_payload_bit(np.uint8(2)) == check.flip_payload_bit(2)
+        with pytest.raises(TypeError):
+            check.flip_payload_bit(2.0)
+
+
+@pytest.mark.parametrize("member", list(CodecId))
+def test_codec_id_prints_as_its_name(member):
+    assert str(member) == format(member) == f"{member}" == member.value

@@ -129,6 +129,31 @@ class TestConfig:
         decoded = json.loads(json.dumps(cfg.to_dict()))
         assert SimulationConfig(**decoded) == cfg
 
+    @pytest.mark.parametrize("field", ["n_ops", "word_width", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "2"])
+    def test_a_non_integer_count_width_or_seed_is_refused(self, field, value):
+        with pytest.raises(TypeError):
+            SimulationConfig(**{field: value})
+
+    def test_a_numpy_seed_is_the_plain_seed_and_its_report_serialises(self):
+        cfg = small_config(n_ops=50, seed=np.uint64(3))
+        assert cfg == small_config(n_ops=50, seed=3)
+        assert type(cfg.seed) is int
+        report, _ = run_simulation(cfg)
+        assert json.loads(json.dumps(report.to_dict()))["config"]["seed"] == 3
+
+    def test_the_report_carries_the_values_the_run_used(self):
+        cfg = small_config(n_ops=np.int64(50), word_width=True, seed=np.int32(4))
+        assert (cfg.n_ops, cfg.word_width, cfg.seed) == (50, 1, 4)
+        config = json.loads(json.dumps(run_simulation(cfg)[0].to_dict()))["config"]
+        assert [type(config[k]) for k in ("n_ops", "word_width", "seed")] == [int, int, int]
+        assert (config["n_ops"], config["word_width"], config["seed"]) == (50, 1, 4)
+        assert run_simulation(cfg)[0].totals == run_simulation(small_config(n_ops=50, word_width=1, seed=4))[0].totals
+
+    def test_a_width_out_of_range_names_the_rule(self):
+        with pytest.raises(ValueError, match=r"^word_width must be in \[1, 64\], got 65$"):
+            small_config(word_width=65)
+
 
 class TestPlan:
     def test_same_seed_same_plan(self):
@@ -321,6 +346,24 @@ class TestPlanWords:
             with pytest.raises(IndexError, match="plan of 10 ops"):
                 plan.words_at(ops)
         assert plan.words_at([]).size == 0
+
+    @pytest.mark.parametrize(
+        "idx", [[1.7], [1.0], np.array([1.0]), np.array(["1"]), np.array([1, None], dtype=object)]
+    )
+    def test_non_integer_indices_are_refused(self, idx):
+        plan = draw_plan(small_config(n_ops=10))
+        with pytest.raises(TypeError, match="op indices must be integers"):
+            plan.words_at(idx)
+        with pytest.raises(TypeError, match="op indices must be integers"):
+            plan.subset(idx)
+
+    def test_integer_and_bool_indices_are_taken_by_value(self):
+        plan = draw_plan(small_config(n_ops=10))
+        expected = plan.words_at([1, 0, 3])
+        for idx in (np.array([1, 0, 3], np.uint8), np.array([1, 0, 3], np.int16), [np.int64(1), 0, 3]):
+            assert plan.words_at(idx).tolist() == expected.tolist()
+        assert plan.words_at([True, False]).tolist() == expected[:2].tolist()
+        assert plan.words_at(np.array([], dtype=np.int64)).size == 0
 
     @pytest.mark.parametrize("idx", [[3, 2], [2, 2], [-1, 0]])
     def test_subset_indices_must_ascend_within_the_plan(self, idx):
@@ -746,6 +789,34 @@ class TestCostModel:
         payload = theoretical_cost(0.15, CostDescriptor(3, 4)).to_dict()
         assert payload["rows"][2] == {"system": "msms", "time_units": 145, "space_units": 160}
         assert payload["priority_fraction"] == 0.15
+
+
+# The step model and the cost table price a check in two ways (ROADMAP
+# item 8): a simulated `full` op costs 2B+2 steps against B under `none`,
+# whatever the codec, while the table scales the baseline time by the
+# codec's time multiplier.  Both prices are pinned side by side, per codec
+# and width, so a change to either one shows here.
+@pytest.mark.parametrize(
+    "codec, width, step_ratio, time_ratio",
+    [
+        (codec, width, step_ratio, time_ratio)
+        for codec, time_ratio in (("berger", 1), ("dup", 3), ("none", 1), ("parity", 1))
+        for width, step_ratio in ((1, Fraction(4)), (8, Fraction(5, 2)), (64, Fraction(33, 16)))
+    ],
+)
+def test_the_simulated_and_the_tabled_price_of_a_check(codec, width, step_ratio, time_ratio):
+    steps = {
+        strategy: run_simulation(
+            small_config(n_ops=100, word_width=width, codec=codec, strategy=strategy),
+            keep_records=False,
+        )[0].totals.total_steps
+        for strategy in (Strategy.FULL, Strategy.NONE)
+    }
+    table = theoretical_cost(0.15, get_codec(codec).cost())
+    assert (
+        Fraction(steps[Strategy.FULL], steps[Strategy.NONE]),
+        table.technique.time_units / table.baseline.time_units,
+    ) == (step_ratio, time_ratio)
 
 
 class TestComplexityAudit:

@@ -369,6 +369,23 @@ class TestPlainIntInputs:
         assert store.dump_text() == before
 
     @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s.corrupt_physical_bit(1, 1.0, 1),
+            lambda s: s.corrupt_physical_bit(1, 1, 1.0),
+            lambda s: s.corrupt_data_bit(Address(1, 1), 1.0),
+            lambda s: s.corrupt_check_bit(Address(1, 1), 1.0),
+        ],
+        ids=["physical offset", "physical bit", "data bit", "check bit"],
+    )
+    def test_a_float_offset_or_bit_is_refused_before_the_store_changes(self, corrupt):
+        store = self.two_page_store()
+        before = store.dump_text()
+        with pytest.raises(TypeError):
+            corrupt(store)
+        assert store.dump_text() == before
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda s, addr: s.store_write(addr, Word(1, 8)),
@@ -424,6 +441,12 @@ class TestDedupAndCow:
         assert store.physical_page_of(0) == store.physical_page_of(1)
         assert store.refcount(store.physical_page_of(0)) == 2
         assert store.is_cow(0) and store.is_cow(1)
+
+    def test_a_merge_report_is_an_immutable_value(self):
+        report = make_store().dedup_scan()
+        with pytest.raises(AttributeError):
+            report.pairs_merged = 1
+        assert report.pairs_merged == 0
 
     def test_differing_pages_stay_separate(self):
         store = make_store()
@@ -875,3 +898,10 @@ def test_the_page_table_stays_consistent_through_merges_and_cow_breaks(words_per
         elif op == "protect":
             store.protect_page(page)
         assert_page_table_consistent(store)
+
+
+@pytest.mark.parametrize(
+    "member", [*Strategy, *ReadPolicy, *Validity, *AuditEvent], ids=lambda m: f"{type(m).__name__}.{m.name}"
+)
+def test_store_enums_print_as_their_values(member):
+    assert str(member) == format(member) == f"{member}" == member.value

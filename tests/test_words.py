@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from msms import MAX_WIDTH, RandomSource, Word, flip_bit
+from msms.words import as_position, as_seed, as_width, bit_string
 
 
 def words(max_width: int = 16):
@@ -104,6 +105,10 @@ class TestRandomSource:
         rng = RandomSource(7)
         assert all(0 <= rng.bit_index(5) < 5 for _ in range(500))
 
+    def test_a_one_bit_width_has_one_bit_index(self):
+        rng = RandomSource(7)
+        assert [rng.bit_index(1) for _ in range(20)] == [0] * 20
+
     def test_word_matches_requested_width(self):
         rng = RandomSource(7)
         for _ in range(100):
@@ -125,3 +130,83 @@ class TestRandomSource:
 
     def test_generator_is_numpy(self):
         assert isinstance(RandomSource(0).generator, np.random.Generator)
+
+
+class TestWordRules:
+    """The rules every module takes a width, a seed, a position and a bit string by."""
+
+    @pytest.mark.parametrize("width", [1, 8, MAX_WIDTH, np.uint8(8), True])
+    def test_a_width_in_range_is_taken_as_a_plain_int(self, width):
+        assert type(as_width(width)) is int
+        assert as_width(width) == int(width)
+
+    @pytest.mark.parametrize("width", [0, -1, MAX_WIDTH + 1, False])
+    def test_a_width_out_of_range_is_refused(self, width):
+        with pytest.raises(ValueError, match=rf"^word_width must be in \[1, 64\], got {int(width)}$"):
+            as_width(width)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, np.uint64(3), True])
+    def test_a_seed_in_range_is_taken_as_a_plain_int(self, seed):
+        assert type(as_seed(seed)) is int
+        assert as_seed(seed) == int(seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_a_seed_out_of_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {seed}$"):
+            as_seed(seed)
+
+    @pytest.mark.parametrize("pos", [0, 4, np.int64(4), True])
+    def test_a_position_in_range_is_taken_as_a_plain_int(self, pos):
+        assert type(as_position(pos, 5)) is int
+        assert as_position(pos, 5) == int(pos)
+
+    @pytest.mark.parametrize("pos", [-1, 5])
+    def test_a_position_out_of_range_is_refused(self, pos):
+        with pytest.raises(IndexError, match=f"^bit {pos} out of range for width 5$"):
+            as_position(pos, 5)
+        with pytest.raises(IndexError, match=f"^offset {pos} out of range for width 5$"):
+            as_position(pos, 5, "offset")
+
+    @pytest.mark.parametrize("rule", [as_width, as_seed, lambda x: as_position(x, 8)])
+    @pytest.mark.parametrize("x", [1.0, "1", None])
+    def test_a_non_integer_is_refused_by_every_rule(self, rule, x):
+        with pytest.raises(TypeError):
+            rule(x)
+
+    @pytest.mark.parametrize(
+        "value,size,text",
+        [(0, 0, ""), (0, 1, "0"), (1, 1, "1"), (0b10110, 5, "10110"), (3, 8, "00000011"),
+         ((1 << 64) - 1, 64, "1" * 64), (1, 66, "0" * 65 + "1")],
+    )
+    def test_bit_string_is_msb_first_and_empty_at_size_zero(self, value, size, text):
+        assert bit_string(value, size) == text
+
+    def test_word_bit_and_flip_bit_take_positions_by_the_rule(self):
+        w = Word.from_string("10110")
+        assert w.bit(np.int64(1)) == 1
+        assert flip_bit(w, np.uint8(1)) == Word.from_string("10100")
+        for pos in (1.0, "1"):
+            with pytest.raises(TypeError):
+                w.bit(pos)
+            with pytest.raises(TypeError):
+                flip_bit(w, pos)
+
+    def test_a_word_width_out_of_range_names_the_rule(self):
+        with pytest.raises(ValueError, match=r"word_width must be in \[1, 64\], got 65"):
+            Word(0, 65)
+
+    def test_random_source_takes_its_seed_by_the_rule(self):
+        with pytest.raises(TypeError):
+            RandomSource("7")
+        with pytest.raises(TypeError):
+            RandomSource(7.0)
+        source = RandomSource(np.uint64(7))
+        assert type(source.seed) is int
+        assert source.bit_index(64) == RandomSource(7).bit_index(64)
+
+    def test_derive_takes_its_index_as_a_plain_int(self):
+        assert RandomSource(9).derive(np.int64(3)).seed == RandomSource(9).derive(3).seed
+        assert type(RandomSource(9).derive(3).seed) is int
+        for index in (3.0, 3.7, "3"):
+            with pytest.raises(TypeError):
+                RandomSource(9).derive(index)
