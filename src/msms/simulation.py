@@ -14,11 +14,21 @@ Randomness follows a fixed draw protocol so that runs replay exactly:
 first the word values, then the priority classification, then the
 injection events, and last the flipped bit positions (one draw per
 injected operation).  The priority and injection uniforms are drawn
-65,536 at a time into one reused buffer (``_DRAW_CHUNK``), so no n-long
-float array is held.  The words are the generator's bounded integer
-draws, which at a power-of-two range spend a fixed number of raw PCG64
-outputs and never reject; so the plan advances past them and rebuilds
-from the raw stream only the words a run reads
+65,536 at a time into a reused buffer (``_DRAW_CHUNK``), so no n-long
+float array is held; the values are those of one ``rng.random(n)`` per
+mask.  The injection uniforms are the n raw outputs after the priority
+ones, and PCG64 can jump n outputs ahead in O(log n) steps, so a
+Bernoulli plan of more than one chunk draws them in a second thread,
+from a jumped copy of the generator with its own buffer, while the
+calling thread draws the priority uniforms.  A quota plan draws them in
+turn, since its shuffle spends a data-dependent number of outputs and
+where the injection uniforms begin is known only once it ends.  So
+does a plan of at most one chunk: starting and joining a thread takes
+about 0.3 ms, as long as both its masks take in turn.  The words are
+the generator's bounded integer draws, which at a power-of-two range
+spend a fixed number of raw PCG64 outputs and never reject; so the plan
+advances past them and rebuilds from the raw stream only the words a
+run reads
 (:meth:`OperationPlan.words_at`).  NEP 19 keeps a bit generator's raw
 stream stable across numpy releases but lets ``Generator`` methods
 change; the other draws still come from ``Generator`` methods, and the
@@ -48,6 +58,7 @@ from __future__ import annotations
 
 import io
 import operator
+import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -361,6 +372,62 @@ def _uniforms(
         yield start, u
 
 
+def _priority_mask(
+    rng: np.random.Generator, n: int, fraction: float, buf: np.ndarray
+) -> np.ndarray:
+    """Bernoulli priority flags from the next ``n`` uniforms of ``rng``."""
+    priority = np.empty(n, dtype=bool)
+    for start, u in _uniforms(rng, n, buf):
+        np.less(u, fraction, out=priority[start : start + len(u)])
+    return priority
+
+
+def _injected_ops(rng: np.random.Generator, n: int, p: float, buf: np.ndarray) -> np.ndarray:
+    """Ascending indices of the next ``n`` uniforms of ``rng`` that fall below ``p``."""
+    return np.concatenate([np.flatnonzero(u < p) + start for start, u in _uniforms(rng, n, buf)])
+
+
+def _bernoulli_masks_at_once(
+    rng: np.random.Generator, n: int, fraction: float, p: float, buf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_priority_mask`` and then ``_injected_ops`` of ``rng``, drawn at once.
+
+    The injection half runs in a new thread, with its own buffer, on a
+    copy of the bit generator jumped ``n`` outputs ahead; this thread
+    draws the priority half.  ``Generator.random`` and the comparisons
+    release the GIL, so the halves run in parallel.  The thread is joined
+    before this returns, and an exception raised in it is raised here.
+    ``rng`` is left where drawing the two in turn leaves it.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    ahead = np.random.PCG64()
+    ahead.state = state
+    ahead.advance(n)
+    # advance() drops the spare 32-bit half that an odd number of narrow
+    # words leaves; a 64-bit draw never takes it, so it survives them all.
+    ahead.state = {**ahead.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    outcome = []
+
+    def injection_half() -> None:
+        try:
+            outcome.append(_injected_ops(np.random.Generator(ahead), n, p, np.empty(len(buf))))
+        except BaseException as exc:  # carried to the calling thread, which raises it
+            outcome.append(exc)
+
+    worker = threading.Thread(target=injection_half, name="msms-injection-draw")
+    worker.start()
+    try:
+        priority = _priority_mask(rng, n, fraction, buf)
+    finally:
+        worker.join()
+    (injected,) = outcome
+    if isinstance(injected, BaseException):
+        raise injected
+    bitgen.state = ahead.state
+    return priority, injected
+
+
 def draw_plan(config: SimulationConfig) -> OperationPlan:
     """Draw all randomness for a run in the fixed protocol order.
 
@@ -370,6 +437,13 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
     words of width <= 32 that includes the unused high half of the last
     output, which the generator hands to its next 32-bit draw.  The
     uniforms are drawn ``_DRAW_CHUNK`` at a time (see ``_uniforms``).
+    A Bernoulli plan of more than ``_DRAW_CHUNK`` ops draws its priority
+    and injection uniforms at once, in two threads
+    (``_bernoulli_masks_at_once``).  A quota plan draws them in turn: its
+    shuffle spends a data-dependent number of outputs, so where the
+    injection uniforms begin is known only once it ends.  A plan of at
+    most one chunk draws them in turn too, and starts no thread.  Either
+    way each mask comes from the values of one ``rng.random(n)``.
     """
     rng = RandomSource(config.seed).generator
     bitgen = rng.bit_generator
@@ -383,6 +457,7 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
             spare = int(bitgen.random_raw()) >> 32
             bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": spare}
     buf = np.empty(min(n, _DRAW_CHUNK))
+    p = config.per_op_probability
     if config.priority_mode == "quota":
         quota = round(config.priority_fraction * n)
         priority = np.zeros(n, dtype=bool)
@@ -391,14 +466,12 @@ def draw_plan(config: SimulationConfig) -> OperationPlan:
         order = np.arange(n, dtype=np.min_scalar_type(n - 1))
         rng.shuffle(order)
         priority[order[:quota]] = True
+        injected = _injected_ops(rng, n, p, buf)
+    elif n > _DRAW_CHUNK:
+        priority, injected = _bernoulli_masks_at_once(rng, n, config.priority_fraction, p, buf)
     else:
-        priority = np.empty(n, dtype=bool)
-        for start, u in _uniforms(rng, n, buf):
-            np.less(u, config.priority_fraction, out=priority[start : start + len(u)])
-    p = config.per_op_probability
-    injected = np.concatenate(
-        [np.flatnonzero(u < p) + start for start, u in _uniforms(rng, n, buf)]
-    )
+        priority = _priority_mask(rng, n, config.priority_fraction, buf)
+        injected = _injected_ops(rng, n, p, buf)
     bit_draws = rng.random(len(injected))
     return OperationPlan(
         priority=priority, injected=injected, bit_draws=bit_draws, word_width=w, word_state=word_state

@@ -122,10 +122,10 @@ class RandomSource:
         return self._rng
 
     def bit_index(self, width: int) -> int:
-        """Uniform bit position in ``[0, width)``."""
+        """Uniform bit position in ``[0, width)``; ``width`` is a word width (``as_width``)."""
         if width < 1:
             raise ValueError("width must be positive")
-        return int(self._rng.integers(0, width))
+        return int(self._rng.integers(0, as_width(width)))
 
     def word(self, width: int = 8) -> Word:
         """Uniformly random word of the given width."""

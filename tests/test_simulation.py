@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -31,6 +33,7 @@ from msms import (
     theoretical_cost,
     Validity,
 )
+from msms import simulation
 from msms.cli import main
 
 
@@ -241,6 +244,14 @@ def _generator_plan(config):
 @example(n_ops=65537, word_width=33, priority_mode="quota", per_op_probability=1.0, seed=4, picks=[65536])
 @example(n_ops=131073, word_width=1, priority_mode="bernoulli", per_op_probability=0.01, seed=5, picks=[131072, 65536])
 @example(n_ops=131073, word_width=31, priority_mode="quota", per_op_probability=0.3, seed=5, picks=[65535, 131072])
+# A Bernoulli plan of more than one chunk draws its injection uniforms in
+# a second thread from a PCG64 jumped past the priority draws: the last
+# sequential and the first threaded n, empty and all-injected, with odd n
+# at width <= 32 carrying the spare high half past the jump.
+@example(n_ops=65536, word_width=7, priority_mode="bernoulli", per_op_probability=0.0, seed=6, picks=[65535])
+@example(n_ops=65536, word_width=33, priority_mode="bernoulli", per_op_probability=1.0, seed=6, picks=[0])
+@example(n_ops=65537, word_width=5, priority_mode="bernoulli", per_op_probability=1.0, seed=7, picks=[65536, 1])
+@example(n_ops=65537, word_width=64, priority_mode="bernoulli", per_op_probability=0.0, seed=7, picks=[65536])
 def test_plan_equals_the_generator_draws(picks, **fields):
     cfg = SimulationConfig(**fields)
     words, priority, injected, bit_draws = _generator_plan(cfg)
@@ -272,6 +283,143 @@ def test_quota_plan_equals_the_permutation_where_the_index_type_widens(n_ops):
     for fraction in (0.5, 1.0):
         cfg = SimulationConfig(n_ops=n_ops, priority_fraction=fraction, priority_mode="quota", seed=6)
         assert np.array_equal(draw_plan(cfg).priority, _generator_plan(cfg)[1]), fraction
+
+
+@pytest.mark.parametrize("n_ops", [10, simulation._DRAW_CHUNK + 1])
+def test_an_op_whose_uniform_equals_the_probability_is_not_injected(n_ops):
+    # An op is injected when its uniform u < p, so P(injected) is p exactly.
+    rng = np.random.Generator(np.random.PCG64(4))
+    rng.integers(0, 255, size=n_ops, dtype=np.uint64, endpoint=True)
+    rng.random(n_ops)
+    u = rng.random(n_ops)
+    op = n_ops // 2
+    plan = draw_plan(SimulationConfig(n_ops=n_ops, seed=4, per_op_probability=float(u[op])))
+    assert op not in plan.injected
+    assert np.array_equal(plan.injected, np.flatnonzero(u < u[op]))
+
+
+class TestPlanThreads:
+    """A Bernoulli plan of more than one chunk draws its masks in two threads."""
+
+    CHUNK = simulation._DRAW_CHUNK
+
+    @pytest.mark.parametrize(
+        "n_ops,priority_mode,threaded",
+        [(CHUNK, "bernoulli", False), (CHUNK + 1, "bernoulli", True), (CHUNK + 1, "quota", False)],
+    )
+    def test_only_a_bernoulli_plan_of_more_than_one_chunk_starts_a_thread(
+        self, monkeypatch, n_ops, priority_mode, threaded
+    ):
+        drawn_in = []
+        injected_ops = simulation._injected_ops
+
+        def recorded(*args):
+            drawn_in.append(threading.current_thread())
+            return injected_ops(*args)
+
+        monkeypatch.setattr(simulation, "_injected_ops", recorded)
+        draw_plan(SimulationConfig(n_ops=n_ops, seed=1, priority_mode=priority_mode))
+        assert len(drawn_in) == 1
+        assert (drawn_in[0] is not threading.current_thread()) == threaded
+
+    @pytest.mark.parametrize(
+        "n_ops,word_width,priority_mode",
+        [
+            (CHUNK + 1, 8, "bernoulli"),
+            (CHUNK + 2, 8, "bernoulli"),
+            (CHUNK + 1, 33, "bernoulli"),
+            (CHUNK + 1, 8, "quota"),
+            (999, 7, "bernoulli"),
+        ],
+    )
+    def test_the_plan_leaves_its_generator_where_the_draws_in_turn_do(
+        self, monkeypatch, n_ops, word_width, priority_mode
+    ):
+        sources = []
+
+        class Recorded(simulation.RandomSource):
+            def __init__(self, seed):
+                super().__init__(seed)
+                sources.append(self)
+
+        monkeypatch.setattr(simulation, "RandomSource", Recorded)
+        cfg = SimulationConfig(
+            n_ops=n_ops, word_width=word_width, priority_mode=priority_mode, per_op_probability=0.3, seed=8
+        )
+        plan = draw_plan(cfg)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        rng.integers(0, (1 << word_width) - 1, size=n_ops, dtype=np.uint64, endpoint=True)
+        if priority_mode == "quota":
+            rng.permutation(n_ops)
+        else:
+            rng.random(n_ops)
+        rng.random(n_ops)
+        rng.random(len(plan.injected))
+        (source,) = sources
+
+        def pending(state):
+            # A spent 32-bit half stays in "uinteger" with has_uint32 0.
+            return state["state"], state["has_uint32"] and state["uinteger"]
+
+        assert pending(source.generator.bit_generator.state) == pending(rng.bit_generator.state)
+
+    def test_a_full_scale_plan_leaves_no_thread_behind(self):
+        before = threading.active_count()
+        draw_plan(SimulationConfig(seed=1))
+        assert threading.active_count() == before
+
+    def test_an_error_in_the_injection_half_surfaces_as_itself(self, monkeypatch):
+        class InjectionHalfError(Exception):
+            pass
+
+        def failing(*args):
+            raise InjectionHalfError("injection half")
+
+        monkeypatch.setattr(simulation, "_injected_ops", failing)
+        before = threading.active_count()
+        with pytest.raises(InjectionHalfError, match="injection half"):
+            draw_plan(SimulationConfig(n_ops=self.CHUNK + 1, seed=1))
+        assert threading.active_count() == before
+
+    def test_an_error_in_the_priority_half_waits_for_the_injection_half(self, monkeypatch):
+        class PriorityHalfError(Exception):
+            pass
+
+        def failing(*args):
+            raise PriorityHalfError("priority half")
+
+        injected_ops = simulation._injected_ops
+
+        def slow(*args):
+            time.sleep(0.2)
+            return injected_ops(*args)
+
+        monkeypatch.setattr(simulation, "_priority_mask", failing)
+        monkeypatch.setattr(simulation, "_injected_ops", slow)
+        before = threading.active_count()
+        with pytest.raises(PriorityHalfError, match="priority half"):
+            draw_plan(SimulationConfig(n_ops=self.CHUNK + 1, seed=1))
+        assert threading.active_count() == before
+
+    def test_four_threads_draw_identical_plans(self):
+        cfg = SimulationConfig(n_ops=4 * self.CHUNK + 3, word_width=7, per_op_probability=0.01, seed=9)
+        expected = draw_plan(cfg)
+        plans = [None] * 4
+
+        def draw(i):
+            plans[i] = draw_plan(cfg)
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for plan in plans:
+            assert np.array_equal(plan.priority, expected.priority)
+            assert np.array_equal(plan.injected, expected.injected)
+            assert np.array_equal(plan.bit_draws, expected.bit_draws)
+            assert plan.word_state == expected.word_state
 
 
 def _peak_bytes(fn) -> int:

@@ -101,6 +101,13 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="width must be positive"):
             RandomSource(0).bit_index(width)
 
+    def test_bit_index_takes_its_width_by_the_word_rule(self):
+        with pytest.raises(TypeError):
+            RandomSource(0).bit_index(2.5)
+        with pytest.raises(ValueError, match=rf"word_width must be in \[1, {MAX_WIDTH}\], got 100"):
+            RandomSource(0).bit_index(100)
+        assert RandomSource(5).bit_index(np.uint8(MAX_WIDTH)) == RandomSource(5).bit_index(MAX_WIDTH)
+
     def test_bit_index_stays_in_range(self):
         rng = RandomSource(7)
         assert all(0 <= rng.bit_index(5) < 5 for _ in range(500))
