@@ -3,7 +3,9 @@
 A codec turns a word into check data on write (``encode``) and compares
 recomputed check data against the stored copy on read (``verify``).
 Check data is an integer of ``check_bits(width)`` bits, the codec's only
-definition of its size.  Detection only; nothing here corrects errors.
+definition of its size, and ``check_value(value, width)`` is its only
+definition of that integer: ``encode`` wraps it in a :class:`CodecCheck`,
+and the store keeps it bare.  Detection only; nothing here corrects errors.
 Each codec also carries a :class:`CostDescriptor` so the cost model can
 price the technique.
 
@@ -104,8 +106,8 @@ class CostDescriptor:
 class Codec:
     """Interface every codec implements.  Stateless and shareable.
 
-    Each ``encode`` sizes its check through :meth:`_check`, and each
-    ``verify`` compares through :meth:`_verify`.
+    Each ``encode`` wraps :meth:`check_value` through :meth:`_check`, and
+    each ``verify`` compares against it through :meth:`_verify`.
     """
 
     codec_id: CodecId
@@ -116,24 +118,32 @@ class Codec:
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         raise NotImplementedError
 
+    def check_value(self, value: int, width: int) -> int:
+        """The check of the ``width``-bit word ``value``: a plain int of ``check_bits(width)`` bits.
+
+        ``value`` and ``width`` are taken as a :class:`Word` holds them, unchecked.
+        """
+        raise NotImplementedError
+
     def check_bits(self, width: int) -> int:
         raise NotImplementedError
 
     def cost(self) -> CostDescriptor:
         raise NotImplementedError
 
-    def _check(self, word: Word, value: int) -> CodecCheck:
-        return CodecCheck(self.codec_id, value, self.check_bits(word.width))
+    def _check(self, word: Word) -> CodecCheck:
+        value, width = word.value, word.width
+        return CodecCheck(self.codec_id, self.check_value(value, width), self.check_bits(width))
 
     def _verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         if check.codec_id is not self.codec_id:
             raise CodecMismatchError(
                 f"{self.codec_id.value} codec given a {check.codec_id.value} check"
             )
-        want = self.encode(word)
-        if check.size != want.size:
-            raise ValueError(f"a width-{word.width} check has {want.size} bits, not {check.size}")
-        return VerifyResult(check.value == want.value)
+        size = self.check_bits(word.width)
+        if check.size != size:
+            raise ValueError(f"a width-{word.width} check has {size} bits, not {check.size}")
+        return VerifyResult(check.value == self.check_value(word.value, word.width))
 
 
 class ParityCodec(Codec):
@@ -142,10 +152,13 @@ class ParityCodec(Codec):
     codec_id = CodecId.PARITY
 
     def encode(self, word: Word) -> CodecCheck:
-        return self._check(word, word.ones() & 1)
+        return self._check(word)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         return self._verify(word, check)
+
+    def check_value(self, value: int, width: int) -> int:
+        return value.bit_count() & 1
 
     def check_bits(self, width: int) -> int:
         return 1
@@ -165,10 +178,13 @@ class BergerCodec(Codec):
     codec_id = CodecId.BERGER
 
     def encode(self, word: Word) -> CodecCheck:
-        return self._check(word, word.zeros())
+        return self._check(word)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         return self._verify(word, check)
+
+    def check_value(self, value: int, width: int) -> int:
+        return width - value.bit_count()
 
     def check_bits(self, width: int) -> int:
         return width.bit_length()  # ceil(log2(width + 1))
@@ -189,10 +205,13 @@ class DuplicationCodec(Codec):
     codec_id = CodecId.DUPLICATION
 
     def encode(self, word: Word) -> CodecCheck:
-        return self._check(word, word.value << word.width | word.value)
+        return self._check(word)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         return self._verify(word, check)
+
+    def check_value(self, value: int, width: int) -> int:
+        return value << width | value
 
     def check_bits(self, width: int) -> int:
         return 2 * width
@@ -207,10 +226,13 @@ class NullCodec(Codec):
     codec_id = CodecId.NONE
 
     def encode(self, word: Word) -> CodecCheck:
-        return self._check(word, 0)
+        return self._check(word)
 
     def verify(self, word: Word, check: CodecCheck) -> VerifyResult:
         return self._verify(word, check)
+
+    def check_value(self, value: int, width: int) -> int:
+        return 0
 
     def check_bits(self, width: int) -> int:
         return 0

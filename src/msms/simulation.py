@@ -600,14 +600,14 @@ def _detect_store(
         allow_check_zone_faults=config.inject_check_zone,
     )
     wpp = store.words_per_page
-    priority = plan.priority
+    priority = plan.priority.tolist()
     flips = dict(zip(plan.injected.tolist(), bits.tolist()))
     detected = []
     words = plan.words_at(np.arange(n)).tolist()
     for i in range(n):
         addr = Address(i // wpp, i % wpp)
         word = Word(words[i], w)
-        store.store_write(addr, word, priority=bool(priority[i]))
+        store.store_write(addr, word, priority=priority[i])
         bit = flips.get(i)
         if bit is not None:
             if bit < w:

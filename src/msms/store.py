@@ -4,7 +4,17 @@ The store keeps four isolated regions inside one instance: the data zone
 (physical pages of words), the check zone (codec check data), the
 priority-flag zone, and an append-only hash-chained audit log.  None of
 the public operations hand out a mutable reference into any zone;
-inspection helpers return copies or immutable values.
+inspection helpers return copies or immutable values.  The check zone
+holds each check as its codec's integer ``check_value``;
+:meth:`ProtectedStore.check_for` builds a :class:`CodecCheck` when asked.
+
+The log fixes an entry's fields, its detail's canonical JSON included,
+when the entry is appended, and queues it.  Its sha256 digests are taken
+in one pass over the queued entries when the log is next read: by a state
+dump, :meth:`ProtectedStore.audit_entries` or
+:meth:`ProtectedStore.verify_audit_chain`.  So a store operation costs its
+digests once, whenever they are taken, and a digest never depends on
+anything changed after its entry was appended.
 
 A physical page is an ``array("Q")``, one unsigned 64-bit machine word
 per stored word whatever the store's width.  Allocating, copying and
@@ -274,6 +284,11 @@ class AuditLog:
     needed once, for the digest, and whose encodings are template fills.
     Outside the log an entry is a dict, as a state dump holds it
     (:meth:`to_dicts`), or the dump's text of it (:meth:`indented_entries`).
+
+    :meth:`append` fixes every field but the digest and queues the entry
+    with its detail's canonical JSON.  The digest column is filled up to
+    the last entry, in one loop through :func:`_chain_digest`, when
+    :meth:`to_dicts` or :meth:`indented_entries` next reads the log.
     """
 
     def __init__(self):
@@ -281,21 +296,27 @@ class AuditLog:
         self._addresses: list[Optional[str]] = []
         self._details: list[str | _MergeDetail] = []
         self._digests: list[str] = []
+        # The canonical detail JSON of each entry not hashed yet, from
+        # sequence len(self._digests) on.
+        self._unhashed: list[str] = []
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return len(self._events)
 
     def append(
         self,
         event: AuditEvent,
-        address: Optional[Address] = None,
+        address: Optional[Address | str] = None,
         detail: Optional[dict[str, Any]] = None,
     ) -> None:
-        """Commit one entry: its detail's canonical JSON and one sha256.
+        """Commit one entry's fields and queue it for its sha256.
 
         ``event`` is an :class:`AuditEvent` member and ``detail`` a dict or
         None (logged as ``{}``); anything else raises ``TypeError``, a plain
-        str event included.  The store's own WRITE details come pre-encoded
+        str event included.  The address is logged as its ``str``, so the
+        store hands in each written word's one address text.  The detail's
+        canonical JSON is taken here, so changing the dict afterwards
+        changes no digest.  The store's own WRITE details come pre-encoded
         from :data:`_WRITE_DETAILS`, and its MERGE details as their fields.
         """
         if type(event) is not AuditEvent:
@@ -310,21 +331,31 @@ class AuditLog:
             detail_json = kept = canonical_json(detail)
         else:
             raise TypeError(f"audit detail must be a dict, not {type(detail).__name__}")
-        addr = None if address is None else str(address)
+        self._events.append(event)
+        self._addresses.append(None if address is None else str(address))
+        self._details.append(kept)
+        self._unhashed.append(detail_json)
+
+    def _hash_pending(self) -> None:
+        """Chain the queued entries: one sha256 each, in sequence order."""
+        unhashed = self._unhashed
         digests = self._digests
-        sequence = len(digests)
-        digests.append(
-            _chain_digest(
+        start = len(digests)
+        prev = f'"{digests[-1]}"' if start else _GENESIS_JSON
+        new = []
+        columns = zip(self._events[start:], self._addresses[start:], unhashed)
+        for sequence, (event, addr, detail_json) in enumerate(columns, start):
+            digest = _chain_digest(
                 "null" if addr is None else _encode_str(addr),
                 detail_json,
-                f'"{digests[-1]}"' if sequence else _GENESIS_JSON,
+                prev,
                 _EVENT_JSON[event],
                 sequence,
             )
-        )
-        self._events.append(event)
-        self._addresses.append(addr)
-        self._details.append(kept)
+            new.append(digest)
+            prev = f'"{digest}"'
+        digests += new
+        unhashed.clear()
 
     def to_dicts(self, start: int = 0) -> list[dict[str, Any]]:
         """The entries from sequence ``start`` on, as a state dump's ``zones.log`` holds them.
@@ -332,6 +363,7 @@ class AuditLog:
         A negative ``start`` counts from the end, as in a slice.  Every call
         builds fresh dicts, so nothing a caller holds can change the log.
         """
+        self._hash_pending()
         start = slice(start, None).indices(len(self._digests))[0]
         # A MERGE detail is built from its fields, in json.loads key order.
         # Other flat details are parsed once per distinct text and copied
@@ -374,6 +406,7 @@ class AuditLog:
         at a depth of two.  A MERGE detail fills its template; each other
         distinct detail is indented once.
         """
+        self._hash_pending()
         details: dict[str, str] = {}
         parts = []
         prev = GENESIS
@@ -488,10 +521,11 @@ class ProtectedStore:
         self._mapping: dict[int, int] = {}  # page table: virtual -> physical page
         self._sharers: dict[int, set[int]] = {}  # live physical page -> its virtual pages
         self._protected: set[int] = set()  # virtual pages exempt from deduplication
-        self._checks: dict[Address, CodecCheck] = {}
+        self._checks: dict[Address, int] = {}  # address -> its codec's check_value
         self._flags: dict[Address, int] = {}
         self._log = AuditLog()
-        self._written: set[Address] = set()
+        # written address -> its one "page:offset" text, which the log and dumps share
+        self._written: dict[Address, str] = {}
         self._next_physical = 0
 
     # -- mediated operations ------------------------------------------------
@@ -508,7 +542,9 @@ class ProtectedStore:
         if word.width != self.word_width:
             raise ValueError(f"word width {word.width} != store width {self.word_width}")
         self._resolve_page_for_write(addr)[addr.offset] = word.value
-        self._written.add(addr)
+        text = self._written.get(addr)
+        if text is None:
+            text = self._written[addr] = str(addr)
 
         # The flag zone records the classification whatever the
         # strategy does with it; check storage is the strategy's call.
@@ -516,8 +552,8 @@ class ProtectedStore:
             self._set_flag(addr)
         protect = self._checked[self._flags.get(addr, 0) == 1]
         if protect:
-            self._checks[addr] = self.codec.encode(word)
-        self._log.append(AuditEvent.WRITE, addr, _WRITE_DETAILS[bool(priority), protect])
+            self._checks[addr] = self.codec.check_value(word.value, word.width)
+        self._log.append(AuditEvent.WRITE, text, _WRITE_DETAILS[bool(priority), protect])
 
     def store_read(self, addr: Address) -> ReadResult:
         """Fetch a word and, where the strategy calls for it, verify it.
@@ -527,7 +563,8 @@ class ProtectedStore:
         """
         addr = self._address(addr)
         word = self._resolve_word(addr)
-        self._log.append(AuditEvent.READ, addr)
+        text = self._written[addr]
+        self._log.append(AuditEvent.READ, text)
         if self.read_policy is ReadPolicy.RETURN_UNCHECKED:
             return ReadResult(word, Validity.UNCHECKED)
         # A stored check encodes the write-time protection decision;
@@ -535,9 +572,9 @@ class ProtectedStore:
         check = self._checks.get(addr)
         if check is None:
             return ReadResult(word, Validity.UNCHECKED)
-        if self.codec.verify(word, check).valid:
+        if check == self.codec.check_value(word.value, word.width):
             return ReadResult(word, Validity.VALID)
-        self._log.append(AuditEvent.INTEGRITY_FAILURE, addr, {"codec": self.codec.codec_id.value})
+        self._log.append(AuditEvent.INTEGRITY_FAILURE, text, {"codec": self.codec.codec_id.value})
         if self.read_policy is ReadPolicy.SUPPRESS_ON_INVALID:
             return ReadResult(None, Validity.INVALID)
         return ReadResult(word, Validity.INVALID)
@@ -553,8 +590,8 @@ class ProtectedStore:
         word = self._resolve_word(addr)
         self._set_flag(addr)
         if self._checked[True] and addr not in self._checks:
-            self._checks[addr] = self.codec.encode(word)
-        self._log.append(AuditEvent.FLAG_SET, addr)
+            self._checks[addr] = self.codec.check_value(word.value, word.width)
+        self._log.append(AuditEvent.FLAG_SET, self._written[addr])
 
     def protect_page(self, vpage: int) -> None:
         """Exempt a virtual page from deduplication; the page obeys the address rule."""
@@ -594,7 +631,11 @@ class ProtectedStore:
         return self._flags.get(addr, 0)
 
     def check_for(self, addr: Address) -> Optional[CodecCheck]:
-        return self._checks.get(addr)
+        """The check stored for ``addr``, built as a :class:`CodecCheck`, or None."""
+        value = self._checks.get(addr)
+        if value is None:
+            return None
+        return CodecCheck(self.codec.codec_id, value, self.codec.check_bits(self.word_width))
 
     def audit_entries(self, start: int = 0) -> list[dict[str, Any]]:
         """The log from sequence ``start`` on, as :meth:`dump_state` writes it."""
@@ -628,11 +669,12 @@ class ProtectedStore:
     def corrupt_data_bit(self, addr: Address, bit: int) -> None:
         """Flip one data bit in place, as induced hardware corruption would."""
         addr = self._address(addr)
-        if addr not in self._written:
+        text = self._written.get(addr)
+        if text is None:
             raise MissingAddressError(str(addr))
         bit = as_position(bit, self.word_width)
         self._pages[self._mapping[addr.page]][addr.offset] ^= 1 << bit
-        self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "data"})
+        self._log.append(AuditEvent.INJECTED_FAULT, text, {"bit": bit, "zone": "data"})
 
     def corrupt_physical_bit(self, ppage: int, offset: int, bit: int) -> None:
         """Flip one bit by physical coordinates; all mappings observe it."""
@@ -656,9 +698,10 @@ class ProtectedStore:
         check = self._checks.get(addr)
         if check is None:
             raise MissingAddressError(f"no check stored for {addr}")
-        bit = operator.index(bit)
-        self._checks[addr] = check.flip_payload_bit(bit)
-        self._log.append(AuditEvent.INJECTED_FAULT, addr, {"bit": bit, "zone": "check"})
+        bit = as_position(bit, self.codec.check_bits(self.word_width))
+        self._checks[addr] = check ^ 1 << bit
+        detail = {"bit": bit, "zone": "check"}
+        self._log.append(AuditEvent.INJECTED_FAULT, self._written[addr], detail)
 
     # -- state dump ----------------------------------------------------------
 
@@ -666,12 +709,13 @@ class ProtectedStore:
         """JSON-ready snapshot with each zone listed separately."""
         codec = self.codec.codec_id.value
         payloads = self._payloads()
+        written = self._written
         return self._state(
             {
-                str(addr): {"codec": codec, "payload": payloads[c.value]}
-                for addr, c in sorted(self._checks.items())
+                written[addr]: {"codec": codec, "payload": payloads[check]}
+                for addr, check in sorted(self._checks.items())
             },
-            {str(addr): flag for addr, flag in sorted(self._flags.items())},
+            {written[addr]: flag for addr, flag in sorted(self._flags.items())},
             self._log.to_dicts(),
         )
 
@@ -687,15 +731,16 @@ class ProtectedStore:
         ).split(_ZONE_SLOT)
         codec = _CODEC_JSON[self.codec.codec_id]
         payloads = self._payloads()
+        written = self._written
         checks = [
-            f"      {_encode_str(str(addr))}: {{\n"
+            f"      {_encode_str(written[addr])}: {{\n"
             f'        "codec": {codec},\n'
-            f'        "payload": "{payloads[c.value]}"\n'
+            f'        "payload": "{payloads[check]}"\n'
             "      }"
-            for addr, c in sorted(self._checks.items())
+            for addr, check in sorted(self._checks.items())
         ]
         flags = [
-            f"      {_encode_str(str(addr))}: {flag}"
+            f"      {_encode_str(written[addr])}: {flag}"
             for addr, flag in sorted(self._flags.items())
         ]
         return "".join(
@@ -714,7 +759,7 @@ class ProtectedStore:
     def _payloads(self) -> dict[int, str]:
         """The payload text of each distinct check value; all share the store's codec and width."""
         size = self.codec.check_bits(self.word_width)
-        return {v: bit_string(v, size) for v in {c.value for c in self._checks.values()}}
+        return {v: bit_string(v, size) for v in set(self._checks.values())}
 
     def _state(self, check: Any, priority: Any, log: Any) -> dict[str, Any]:
         # Most words of a page repeat (an unwritten word is 0), so each

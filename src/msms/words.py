@@ -128,7 +128,8 @@ class RandomSource:
         return int(self._rng.integers(0, as_width(width)))
 
     def word(self, width: int = 8) -> Word:
-        """Uniformly random word of the given width."""
+        """Uniformly random word of the given width; ``width`` is a word width (``as_width``)."""
+        width = as_width(width)
         hi = (1 << width) - 1
         return Word(int(self._rng.integers(0, hi, dtype=np.uint64, endpoint=True)), width)
 

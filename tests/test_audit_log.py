@@ -588,3 +588,141 @@ def test_an_entry_view_is_a_snapshot():
     assert len(entries) == 1 and len(store.audit_entries()) == 2
     assert [e["event"] for e in entries] == ["write"]
     assert [e["event"] for e in reversed(store.audit_entries())] == ["read", "write"]
+
+
+# -- digests taken when the log is read ----------------------------------------
+
+
+class _EagerLog:
+    """The chain with each digest taken by json.dumps as its entry is appended."""
+
+    def __init__(self):
+        self.entries = []
+
+    def append(self, event, address=None, detail=None):
+        if detail is None:
+            detail = {}
+        elif type(detail) is _MergeDetail:
+            detail = detail.to_dict()
+        elif isinstance(detail, str):
+            detail = json.loads(detail)
+        else:
+            detail = json.loads(json.dumps(detail))
+        sequence = len(self.entries)
+        prev = self.entries[-1]["digest_self"] if self.entries else GENESIS
+        addr = None if address is None else str(address)
+        self.entries.append(
+            {
+                "sequence": sequence,
+                "event": event.value,
+                "address": addr,
+                "detail": detail,
+                "digest_prev": prev,
+                "digest_self": reference_digest(sequence, event.value, addr, detail, prev),
+            }
+        )
+
+
+def _some_ops(store, rng, written, n):
+    """``n`` seeded store operations, each logging one entry or more."""
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.45 or not written:
+            addr = Address(rng.randrange(4), rng.randrange(2))
+            value = rng.choice([0, 1, rng.getrandbits(8)])
+            store.store_write(addr, Word(value, 8), priority=rng.random() < 0.3)
+            written.append(addr)
+        elif roll < 0.7:
+            store.store_read(rng.choice(written))
+        elif roll < 0.8:
+            store.dedup_scan()
+        elif roll < 0.9:
+            store.corrupt_data_bit(rng.choice(written), rng.randrange(8))
+        else:
+            store.set_priority(rng.choice(written))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reads=st.lists(st.sampled_from(["tail", "len", "verify", "text", "state"]), max_size=10),
+)
+@example(seed=0, reads=["len", "tail", "len", "text", "verify", "state"])
+def test_digests_taken_on_reading_equal_digests_taken_at_each_append(seed, reads):
+    eager = _EagerLog()
+    append = AuditLog.append
+
+    def both(log, *args, **kwargs):
+        append(log, *args, **kwargs)
+        eager.append(*args, **kwargs)
+
+    AuditLog.append = both
+    try:
+        rng = random.Random(seed)
+        store = ProtectedStore(words_per_page=2)
+        written = []
+        for read in reads:
+            _some_ops(store, rng, written, rng.randrange(6))
+            if read == "tail":
+                assert store.audit_entries(-5) == eager.entries[-5:]
+            elif read == "len":
+                assert len(store._log) == len(eager.entries)
+            elif read == "verify":
+                assert store.verify_audit_chain() == (True, None)
+                assert reference_verify(store.audit_entries()) == (True, None)
+            elif read == "text":
+                text = store.dump_text()
+                assert json.loads(text)["zones"]["log"] == eager.entries
+                assert text == json.dumps(store.dump_state(), indent=2) + "\n"
+            else:
+                assert store.dump_state()["zones"]["log"] == eager.entries
+        _some_ops(store, rng, written, 3)
+    finally:
+        AuditLog.append = append
+    assert store.audit_entries() == eager.entries
+    assert reference_verify(store.audit_entries()) == (True, None)
+
+
+def test_changing_a_detail_after_append_changes_no_digest():
+    log = AuditLog()
+    detail = {"bit": 1, "zone": "data", "pages": [1, 2]}
+    log.append(AuditEvent.INJECTED_FAULT, Address(0, 1), detail)
+    log.append(AuditEvent.READ, "0:1")
+    log.append(AuditEvent.MERGE, None, _MergeDetail(1, 0, [1]))
+    fault = {"bit": 1, "zone": "data", "pages": [1, 2]}
+    merge = {"freed": 1, "survivor": 0, "virtual_pages": [1]}
+    first = reference_digest(0, "injected_fault", "0:1", fault, GENESIS)
+    second = reference_digest(1, "read", "0:1", {}, first)
+    third = reference_digest(2, "merge", None, merge, second)
+
+    detail["bit"] = 7
+    detail["pages"].append(3)
+    log._details[1] = '{"x":1}'
+    log._details[2].virtual_pages.append(5)
+    assert [e["digest_self"] for e in log.to_dicts()] == [first, second, third]
+
+
+def test_the_length_counts_entries_before_their_digests_are_taken():
+    log = AuditLog()
+    for offset in range(5):
+        log.append(AuditEvent.READ, Address(0, offset))
+    assert len(log) == 5
+    assert len(log.to_dicts()) == 5
+    log.append(AuditEvent.READ, Address(0, 5))
+    assert len(log) == 6
+    assert [e["sequence"] for e in log.to_dicts(-2)] == [4, 5]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_dump_text_as_the_first_read_of_a_run_is_json_dumps_of_the_dump(strategy):
+    config = SimulationConfig(
+        n_ops=600, per_op_probability=0.02, strategy=strategy, seed=8, inject_check_zone=True
+    )
+    stores = []
+    run_simulation(config, engine="store", capture_store=stores)
+    run_simulation(config, engine="store", capture_store=stores)
+    text_first, state_first = stores
+    text = text_first.dump_text()
+    assert text == json.dumps(text_first.dump_state(), indent=2) + "\n"
+    assert json.dumps(state_first.dump_state(), indent=2) + "\n" == text
+    assert verify_entry_dicts(json.loads(text)["zones"]["log"]) == (True, None)

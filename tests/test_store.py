@@ -22,7 +22,10 @@ from msms import (
     Strategy,
     Validity,
     Word,
+    codec_names,
+    flip_bit,
     flip_feng_shui_scenario,
+    get_codec,
     verify_entry_dicts,
 )
 
@@ -905,3 +908,49 @@ def test_the_page_table_stays_consistent_through_merges_and_cow_breaks(words_per
 )
 def test_store_enums_print_as_their_values(member):
     assert str(member) == format(member) == f"{member}" == member.value
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("width", [1, 8, 33, 64])
+@pytest.mark.parametrize("name", codec_names())
+def test_the_store_checks_as_the_codec_objects_do(name, width, data):
+    """The store keeps bare check values; every single flip reads as ``verify`` judges it."""
+    codec = get_codec(name)
+    value = data.draw(st.integers(0, (1 << width) - 1), label="value")
+    word = Word(value, width)
+    check = codec.encode(word)
+    assert type(codec.check_value(value, width)) is int
+    assert codec.check_value(value, width) == check.value
+    addr = Address(2, 3)
+    flips = [("data", bit) for bit in range(width)] + [("check", bit) for bit in range(check.size)]
+    for zone, bit in flips:
+        store = ProtectedStore(
+            codec=name, strategy=Strategy.FULL, word_width=width, allow_check_zone_faults=True
+        )
+        store.store_write(addr, word)
+        assert store.check_for(addr) == check
+        if zone == "data":
+            store.corrupt_data_bit(addr, bit)
+            caught = not codec.verify(flip_bit(word, bit), check).valid
+        else:
+            store.corrupt_check_bit(addr, bit)
+            assert store.check_for(addr) == check.flip_payload_bit(bit)
+            caught = not codec.verify(word, check.flip_payload_bit(bit)).valid
+        assert (store.store_read(addr).validity is Validity.INVALID) == caught
+    store = ProtectedStore(codec=name, strategy=Strategy.FULL, word_width=width)
+    store.store_write(addr, word)
+    assert store.store_read(addr) == (word, Validity.VALID)
+
+
+@pytest.mark.parametrize("name", codec_names())
+def test_a_check_bit_outside_the_check_is_refused_before_the_store_changes(name):
+    size = get_codec(name).check_bits(8)
+    store = make_store(codec=name, strategy=Strategy.FULL, allow_check_zone_faults=True)
+    store.store_write(Address(0, 0), Word(0b1011, 8))
+    check, entries = store.check_for(Address(0, 0)), store.audit_entries()
+    for bit in (-1, size):
+        with pytest.raises(IndexError, match=f"^bit {bit} out of range for width {size}$"):
+            store.corrupt_check_bit(Address(0, 0), bit)
+    assert store.check_for(Address(0, 0)) == check
+    assert store.audit_entries() == entries

@@ -116,6 +116,30 @@ class TestRandomSource:
         rng = RandomSource(7)
         assert [rng.bit_index(1) for _ in range(20)] == [0] * 20
 
+    @pytest.mark.parametrize(
+        "width, error, message",
+        [
+            (65, ValueError, rf"^word_width must be in \[1, {MAX_WIDTH}\], got 65$"),
+            (0, ValueError, rf"^word_width must be in \[1, {MAX_WIDTH}\], got 0$"),
+            (-1, ValueError, rf"^word_width must be in \[1, {MAX_WIDTH}\], got -1$"),
+            (2.5, TypeError, "^'float' object cannot be interpreted as an integer$"),
+        ],
+    )
+    def test_word_takes_its_width_by_the_word_rule(self, width, error, message):
+        rng = RandomSource(3)
+        with pytest.raises(error, match=message):
+            rng.word(width)
+        # A refused width draws nothing.
+        assert rng.word(8) == RandomSource(3).word(8)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 32, 33, 63, MAX_WIDTH])
+    def test_word_is_one_bounded_draw_of_the_generator(self, width):
+        rng, gen = RandomSource(11), np.random.Generator(np.random.PCG64(11))
+        for _ in range(5):
+            value = int(gen.integers(0, (1 << width) - 1, dtype=np.uint64, endpoint=True))
+            assert rng.word(width) == Word(value, width)
+        assert RandomSource(5).word(np.uint8(width)) == RandomSource(5).word(width)
+
     def test_word_matches_requested_width(self):
         rng = RandomSource(7)
         for _ in range(100):
