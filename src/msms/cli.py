@@ -5,7 +5,7 @@ overhead/detection experiment and emits per-operation CSVs plus JSON
 reports; ``cost-model`` prints the closed-form time/space comparison;
 ``attack`` drills the dedup-then-hammer scenario against a live store
 and reports whether the flip was prevented or caught; ``audit``
-re-verifies the hash-chained log inside a dumped store state.
+re-verifies a dumped store's hash-chained log and its details' schema.
 
 Settings resolve in three layers: built-in defaults, then a key=value
 config file (``--config``), then explicit flags.  A config key is the
@@ -444,13 +444,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print("chain OK (genesis)")
         return EXIT_OK
     try:
-        ok, broken = verify_entry_dicts(entries)
+        verdict = verify_entry_dicts(entries)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path} holds malformed log entries: {e}")
-    if ok:
-        print(f"chain OK ({len(entries)} entries)")
+    if not verdict[0]:
+        print(f"chain BROKEN at sequence {verdict[1]}")
+        return EXIT_ERROR
+    print(f"chain OK ({len(entries)} entries)")
+    if verdict.off_schema is None:
         return EXIT_OK
-    print(f"chain BROKEN at sequence {broken}")
+    event, detail = entries[verdict.off_schema]["event"], entries[verdict.off_schema]["detail"]
+    print(f"detail OFF SCHEMA at sequence {verdict.off_schema}: "
+          f"event {json.dumps(event)}, keys {json.dumps(list(detail))}")
     return EXIT_ERROR
 
 

@@ -8,13 +8,14 @@ inspection helpers return copies or immutable values.  The check zone
 holds each check as its codec's integer ``check_value``;
 :meth:`ProtectedStore.check_for` builds a :class:`CodecCheck` when asked.
 
-The log fixes an entry's fields, its detail's canonical JSON included,
-when the entry is appended, and queues it.  Its sha256 digests are taken
-in one pass over the queued entries when the log is next read: by a state
+The log keeps a detail as the tuple of its values, in the field order of
+its row of one schema table, :data:`_DETAILS`, which writes the detail's
+canonical JSON, dump text and dict.  Its sha256 digests are taken in one
+pass over the entries not hashed yet when the log is next read: by a state
 dump, :meth:`ProtectedStore.audit_entries` or
 :meth:`ProtectedStore.verify_audit_chain`.  So a store operation costs its
-digests once, whenever they are taken, and a digest never depends on
-anything changed after its entry was appended.
+digests once, and a digest never depends on anything changed after its
+entry was appended.
 
 A physical page is an ``array("Q")``, one unsigned 64-bit machine word
 per stored word whatever the store's width.  Allocating, copying and
@@ -59,7 +60,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ._version import __version__ as _version
 from .codecs import CodecCheck, CodecId, get_codec
@@ -149,17 +150,17 @@ class Address(NamedTuple):
         return f"{self.page}:{self.offset}"
 
 
-# -- the two encodings of a log entry ------------------------------------------
+# -- the encodings of a log entry -----------------------------------------------
 #
 # An entry's chain digest is the sha256 of the entry without ``digest_self``
 # in canonical JSON, ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
 # _chain_digest is the one template of that payload.  Its callers encode a
-# str field with encode_basestring_ascii, a plain int by its str, and any
-# other field with canonical_json, which is json's own C encoder built once
-# with those settings, so the payload equals json.dumps byte for byte.  A
-# state dump writes the entry as ``json.dumps(state, indent=2)`` does;
-# AuditLog.indented_entries fills an indent-2 template from the log's columns.
-# The store's own WRITE and MERGE details have templates of both encodings.
+# str field with encode_basestring_ascii, a plain int by its str, a detail
+# by its row's writer, and any other field with canonical_json, which is
+# json's own C encoder built once with those settings, so the payload equals
+# json.dumps byte for byte.  A state dump writes the entry as
+# ``json.dumps(state, indent=2)`` does; AuditLog.indented_entries fills an
+# indent-2 template from the log's columns and its detail rows.
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -195,65 +196,108 @@ def _chain_digest(address: str, detail: str, digest_prev: str, event: str, seque
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-_EVENT_NAMES = {event: event.value for event in AuditEvent}
-_EVENT_JSON = {event: _encode_str(name) for event, name in _EVENT_NAMES.items()}
 _CODEC_JSON = {codec_id: _encode_str(codec_id.value) for codec_id in CodecId}
 _GENESIS_JSON = f'"{GENESIS}"'
 
 
-class _CanonicalDetail(str):
-    """A detail's canonical JSON, which AuditLog.append takes as it is.
+# -- the detail schema --------------------------------------------------------
 
-    Only this module makes them, from :func:`canonical_json` of the dict
-    they stand for; a public caller hands ``append`` the dict.
-    """
-
-
-# The detail of every WRITE entry, by (priority, protected).
-_WRITE_DETAILS = {
-    (priority, protected): _CanonicalDetail(
-        canonical_json({"priority": priority, "protected": protected})
-    )
-    for priority in (False, True)
-    for protected in (False, True)
+# A detail value's JSON by its field's type; a plain int's str is its JSON.  A
+# list holds plain ints, and spreads one to a line at an entry's depth in a dump.
+_VALUE_JSON = {
+    bool: {False: "false", True: "true"}.__getitem__,
+    str: _encode_str,
+    list: lambda items: f"[{','.join(map(str, items))}]",
+}
+_INDENTED_VALUE_JSON = {
+    **_VALUE_JSON,
+    list: lambda items: (
+        "[\n            " + ",\n            ".join(map(str, items)) + "\n          ]" if items else "[]"
+    ),
 }
 
 
-class _MergeDetail(NamedTuple):
-    """A MERGE entry's detail as the log keeps it: its fields, all plain ints.
+class _Detail:
+    """One detail shape: an event's fields, in sorted order, each a bool, a plain int,
+    a plain str or a list of plain ints.  The log keeps a detail as the tuple of its
+    values, each list as a tuple, and the row writes the detail's three forms."""
 
-    :meth:`ProtectedStore.dedup_scan` logs every merge as one, so a MERGE
-    has this one form, and only this class spells out its keys.  Its dict
-    and both encodings are template fills, so none needs json;
-    ``virtual_pages`` is the log's own list and never handed out.
-    """
+    def __init__(self, event: AuditEvent, *fields: tuple[str, type]):
+        self.event, self.event_name, self.event_json = event, event.value, _encode_str(event.value)
+        self.names = tuple(name for name, _ in fields)
+        self.types = tuple(kind for _, kind in fields)
+        self.lists = [i for i, kind in enumerate(self.types) if kind is list]
+        # json's own texts of the detail, with a %s slot for each value
+        slots = dict.fromkeys(self.names, "\0")
+        self._canonical = canonical_json(slots).replace('"\\u0000"', "%s")
+        indented = json.dumps(slots, indent=2).replace("\n", "\n        ")
+        self._indented = indented.replace('"\\u0000"', "%s")
+        self._json = [(i, _VALUE_JSON[kind]) for i, kind in enumerate(self.types) if kind is not int]
+        self._indented_json = [(i, _INDENTED_VALUE_JSON[self.types[i]]) for i, _ in self._json]
 
-    freed: int
-    survivor: int
-    virtual_pages: list[int]
+    def kept(self, values: tuple) -> tuple:
+        """``values``, of this row's types, with each list as a tuple that holds only plain ints."""
+        kept = list(values)
+        for i in self.lists:
+            kept[i] = items = tuple(kept[i])
+            if not set(map(type, items)) <= {int}:
+                raise TypeError(f"a {self.event} detail's {self.names[i]} holds only plain ints")
+        return tuple(kept)
 
-    def to_dict(self) -> dict[str, Any]:
-        """A fresh dict of the fields, in ``json.loads`` key order."""
-        freed, survivor, pages = self
-        return {"freed": freed, "survivor": survivor, "virtual_pages": list(pages)}
+    def canonical(self, values: tuple) -> str:
+        """The detail's canonical JSON, which its entry's digest commits to."""
+        texts = list(values)
+        for i, write in self._json:
+            texts[i] = write(texts[i])
+        return self._canonical % tuple(texts)
 
-    def canonical(self) -> str:
-        pages = ",".join(map(str, self.virtual_pages))
-        return f'{{"freed":{self.freed},"survivor":{self.survivor},"virtual_pages":[{pages}]}}'
-
-    def indented(self) -> str:
+    def indented(self, values: tuple) -> str:
         """The detail's text in a state dump, as the value of an entry's ``"detail"``."""
-        pages = "[]"
-        if self.virtual_pages:
-            items = ",\n            ".join(map(str, self.virtual_pages))
-            pages = f"[\n            {items}\n          ]"
-        return (
-            "{\n"
-            f'          "freed": {self.freed},\n'
-            f'          "survivor": {self.survivor},\n'
-            f'          "virtual_pages": {pages}\n'
-            "        }"
-        )
+        texts = list(values)
+        for i, write in self._indented_json:
+            texts[i] = write(texts[i])
+        return self._indented % tuple(texts)
+
+    def to_dict(self, values: tuple) -> dict[str, Any]:
+        """A fresh dict of the detail, in ``json.loads`` key order."""
+        detail = dict(zip(self.names, values))
+        for i in self.lists:
+            detail[self.names[i]] = list(values[i])
+        return detail
+
+
+# Every detail shape the log takes, by its event and its number of fields.
+_DETAILS = {
+    (row.event, len(row.names)): row
+    for row in [
+        _Detail(AuditEvent.WRITE, ("priority", bool), ("protected", bool)),
+        _Detail(AuditEvent.READ),
+        _Detail(AuditEvent.FLAG_SET),
+        _Detail(AuditEvent.INTEGRITY_FAILURE, ("codec", str)),
+        _Detail(AuditEvent.MERGE, ("freed", int), ("survivor", int), ("virtual_pages", list)),
+        _Detail(AuditEvent.COW_BREAK, ("from", int), ("to", int), ("virtual_page", int)),
+        # a fault in a word's data or check bits, and one by physical coordinates
+        _Detail(AuditEvent.INJECTED_FAULT, ("bit", int), ("zone", str)),
+        _Detail(
+            AuditEvent.INJECTED_FAULT, ("bit", int), ("offset", int), ("physical_page", int),
+            ("zone", str),
+        ),
+    ]
+}
+# The rows by a dumped detail's event text, keys and value types, in that order.  A
+# detail is a row of its event if it is a plain dict found here whose lists hold plain ints.
+_DUMPED_DETAILS = {(row.event_name, *row.names, *row.types): row for row in _DETAILS.values()}
+
+
+class _Texts(dict):
+    """One writer's text of each ``(row, values)`` asked for; a pass writes each distinct detail once."""
+
+    def __init__(self, write: Callable[[_Detail, tuple], str]):
+        self._write = write
+
+    def __missing__(self, key: tuple[_Detail, tuple]) -> str:
+        text = self[key] = self._write(*key)
+        return text
 
 
 # Stands in for a zone while json.dumps writes the rest of a state dump.  No
@@ -277,85 +321,59 @@ class AuditLog:
     altering any committed field breaks verification at that entry.  The
     digest is sha256 and the first entry's predecessor is :data:`GENESIS`.
 
-    The log is kept as columns (event, address, detail and digest).  A
-    detail is kept as its canonical JSON, except that the store's MERGE
-    entries keep their fields: :meth:`ProtectedStore.dedup_scan` logs
-    every merge in the one form of a :class:`_MergeDetail`, whose text is
-    needed once, for the digest, and whose encodings are template fills.
-    Outside the log an entry is a dict, as a state dump holds it
-    (:meth:`to_dicts`), or the dump's text of it (:meth:`indented_entries`).
-
-    :meth:`append` fixes every field but the digest and queues the entry
-    with its detail's canonical JSON.  The digest column is filled up to
-    the last entry, in one loop through :func:`_chain_digest`, when
-    :meth:`to_dicts` or :meth:`indented_entries` next reads the log.
+    The log is kept as columns: each entry's detail row (which names its
+    event), address, detail values and digest.  Outside the log an entry
+    is a dict, as a state dump holds it (:meth:`to_dicts`), or the dump's
+    text of it (:meth:`indented_entries`).  The digest column is filled up
+    to the last entry, in one loop through :func:`_chain_digest`, when
+    either next reads the log.
     """
 
     def __init__(self):
-        self._events: list[AuditEvent] = []
+        self._rows: list[_Detail] = []
         self._addresses: list[Optional[str]] = []
-        self._details: list[str | _MergeDetail] = []
+        self._details: list[tuple] = []
         self._digests: list[str] = []
-        # The canonical detail JSON of each entry not hashed yet, from
-        # sequence len(self._digests) on.
-        self._unhashed: list[str] = []
+        self._kept: dict[tuple[_Detail, tuple], tuple] = {}
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
-    def append(
-        self,
-        event: AuditEvent,
-        address: Optional[Address | str] = None,
-        detail: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """Commit one entry's fields and queue it for its sha256.
+    def append(self, event: AuditEvent, address: Optional[Address | str] = None, *values: Any) -> None:
+        """Commit one entry: an :class:`AuditEvent`, its address and its detail's values.
 
-        ``event`` is an :class:`AuditEvent` member and ``detail`` a dict or
-        None (logged as ``{}``); anything else raises ``TypeError``, a plain
-        str event included.  The address is logged as its ``str``, so the
-        store hands in each written word's one address text.  The detail's
-        canonical JSON is taken here, so changing the dict afterwards
-        changes no digest.  The store's own WRITE details come pre-encoded
-        from :data:`_WRITE_DETAILS`, and its MERGE details as their fields.
+        The values are a row of the event's in :data:`_DETAILS`, in field
+        order; any other event (a plain str included), number of values or
+        type of a value raises ``TypeError`` before the log changes.  The
+        address is logged as its ``str``, and a list is copied.
         """
         if type(event) is not AuditEvent:
             raise TypeError(f"audit event must be an AuditEvent, not {type(event).__name__}")
-        if detail is None:
-            detail_json = kept = "{}"
-        elif type(detail) is _CanonicalDetail:
-            detail_json = kept = detail
-        elif type(detail) is _MergeDetail:
-            detail_json, kept = detail.canonical(), detail
-        elif isinstance(detail, dict):
-            detail_json = kept = canonical_json(detail)
-        else:
-            raise TypeError(f"audit detail must be a dict, not {type(detail).__name__}")
-        self._events.append(event)
+        row = _DETAILS.get((event, len(values)))
+        if row is None or values and tuple(map(type, values)) != row.types:
+            raise TypeError(f"{values!r} are not the values of a {event} detail")
+        # one tuple per distinct detail without lists, which the garbage collector need not track
+        values = row.kept(values) if row.lists else self._kept.setdefault((row, values), values)
+        self._rows.append(row)
         self._addresses.append(None if address is None else str(address))
-        self._details.append(kept)
-        self._unhashed.append(detail_json)
+        self._details.append(values)
 
     def _hash_pending(self) -> None:
-        """Chain the queued entries: one sha256 each, in sequence order."""
-        unhashed = self._unhashed
+        """Chain the entries not hashed yet: one sha256 each, in sequence order."""
         digests = self._digests
         start = len(digests)
         prev = f'"{digests[-1]}"' if start else _GENESIS_JSON
         new = []
-        columns = zip(self._events[start:], self._addresses[start:], unhashed)
-        for sequence, (event, addr, detail_json) in enumerate(columns, start):
-            digest = _chain_digest(
-                "null" if addr is None else _encode_str(addr),
-                detail_json,
-                prev,
-                _EVENT_JSON[event],
-                sequence,
-            )
+        texts = _Texts(_Detail.canonical)
+        columns = zip(self._rows[start:], self._addresses[start:], self._details[start:])
+        for sequence, (row, addr, values) in enumerate(columns, start):
+            addr = "null" if addr is None else _encode_str(addr)
+            # A list detail is written afresh: no two merges repeat theirs.
+            detail = row.canonical(values) if row.lists else texts[row, values]
+            digest = _chain_digest(addr, detail, prev, row.event_json, sequence)
             new.append(digest)
             prev = f'"{digest}"'
         digests += new
-        unhashed.clear()
 
     def to_dicts(self, start: int = 0) -> list[dict[str, Any]]:
         """The entries from sequence ``start`` on, as a state dump's ``zones.log`` holds them.
@@ -365,33 +383,16 @@ class AuditLog:
         """
         self._hash_pending()
         start = slice(start, None).indices(len(self._digests))[0]
-        # A MERGE detail is built from its fields, in json.loads key order.
-        # Other flat details are parsed once per distinct text and copied
-        # per entry; details holding a list are parsed afresh for each entry.
-        flat: dict[str, dict[str, Any]] = {}
         dicts = []
         prev = self._digests[start - 1] if start else GENESIS
-        columns = zip(
-            self._events[start:],
-            self._addresses[start:],
-            self._details[start:],
-            self._digests[start:],
-        )
-        for sequence, (event, addr, kept, digest) in enumerate(columns, start):
-            if type(kept) is _MergeDetail:
-                detail = kept.to_dict()
-            elif (detail := flat.get(kept)) is not None:
-                detail = dict(detail)
-            else:
-                detail = json.loads(kept)
-                if "[" not in kept and "{" not in kept[1:]:
-                    flat[kept] = dict(detail)
+        columns = zip(*(c[start:] for c in (self._rows, self._addresses, self._details, self._digests)))
+        for sequence, (row, addr, values, digest) in enumerate(columns, start):
             dicts.append(
                 {
                     "sequence": sequence,
-                    "event": _EVENT_NAMES[event],
+                    "event": row.event_name,
                     "address": addr,
-                    "detail": detail,
+                    "detail": row.to_dict(values),
                     "digest_prev": prev,
                     "digest_self": digest,
                 }
@@ -403,26 +404,20 @@ class AuditLog:
         """The texts of the entries as a state dump's ``zones.log`` list holds them.
 
         Each is the text of its dict in ``json.dumps(self.to_dicts(), indent=2)``
-        at a depth of two.  A MERGE detail fills its template; each other
-        distinct detail is indented once.
+        at a depth of two.
         """
         self._hash_pending()
-        details: dict[str, str] = {}
         parts = []
         prev = GENESIS
-        columns = zip(self._events, self._addresses, self._details, self._digests)
-        for sequence, (event, addr, kept, digest) in enumerate(columns):
-            if type(kept) is _MergeDetail:
-                detail = kept.indented()
-            elif (detail := details.get(kept)) is None:
-                detail = json.dumps(json.loads(kept), indent=2).replace("\n", "\n        ")
-                details[kept] = detail
+        texts = _Texts(_Detail.indented)
+        columns = zip(self._rows, self._addresses, self._details, self._digests)
+        for sequence, (row, addr, values, digest) in enumerate(columns):
             parts.append(
                 "      {\n"
                 f'        "sequence": {sequence},\n'
-                f'        "event": {_EVENT_JSON[event]},\n'
+                f'        "event": {row.event_json},\n'
                 f'        "address": {"null" if addr is None else _encode_str(addr)},\n'
-                f'        "detail": {detail},\n'
+                f'        "detail": {texts[row, values]},\n'
                 f'        "digest_prev": "{prev}",\n'
                 f'        "digest_self": "{digest}"\n'
                 "      }"
@@ -431,55 +426,63 @@ class AuditLog:
         return parts
 
 
-def _known_detail_json(detail: dict) -> Optional[str]:
-    """The canonical JSON of an empty or a WRITE detail, else None.
+class ChainVerdict(tuple):
+    """``(ok, broken)``: whether a dumped chain verifies, else where it breaks.  Like
+    ``os.stat_result`` it has a field past those it unpacks to: ``off_schema``, the
+    first verified entry whose detail is no row of its event, or None."""
 
-    Only a plain dict qualifies, with no items or with exactly the keys
-    ``priority`` and ``protected`` holding the ``True``/``False`` objects.
-    """
-    if type(detail) is not dict:
-        return None
-    if not detail:
-        return "{}"
-    if len(detail) == 2:
-        priority = detail.get("priority")
-        protected = detail.get("protected")
-        if (priority is True or priority is False) and (protected is True or protected is False):
-            return _WRITE_DETAILS[priority, protected]
-    return None
+    off_schema: Optional[int] = None
+
+    def __new__(cls, ok: bool, broken: Optional[int], off_schema: Optional[int]) -> ChainVerdict:
+        verdict = super().__new__(cls, (ok, broken))
+        verdict.off_schema = off_schema
+        return verdict
 
 
-def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> tuple[bool, Optional[int]]:
+def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> ChainVerdict:
     """Verify a dumped audit chain without reconstructing the store.
 
     A detail is hashed as dumped, and one that is not a JSON object
-    raises ``TypeError``, as a missing field raises ``KeyError``.
+    raises ``TypeError``, as a missing field raises ``KeyError``.  The first
+    detail that is no row of its event is ``off_schema``.  A row writes each
+    distinct detail without lists; json's C encoder writes every other.
     """
     prev = GENESIS
+    off_schema = None
+    texts = _Texts(_Detail.canonical)
     for position, e in enumerate(entries):
         detail = e["detail"]
         if not isinstance(detail, dict):
             raise TypeError(f"the detail of entry {position} is not a JSON object")
         sequence, event, address, digest_prev = e["sequence"], e["event"], e["address"], e["digest_prev"]
+        row = None
+        if type(event) is str and type(detail) is dict:
+            values = tuple(detail.values())
+            row = _DUMPED_DETAILS.get((event, *detail, *map(type, values)) if values else (event,))
+            for i in row.lists if row else ():
+                if not set(map(type, values[i])) <= {int}:
+                    row = None
         # A field of the type a dump of the store holds goes straight into the
-        # template; any other is encoded as json.dumps would, subclasses
-        # included.  Fields go in sorted-key order, as json.dumps encodes
-        # them, so a value it cannot encode raises the same error first.
+        # template; any other is encoded as json.dumps would, subclasses included.
+        # Fields go in sorted-key order, as json.dumps encodes them, so a value
+        # it cannot encode raises the same error first.
         recomputed = _chain_digest(
             (
                 "null" if address is None
                 else _encode_str(address) if type(address) is str
                 else canonical_json(address)
             ),
-            _known_detail_json(detail) or canonical_json(detail),
+            canonical_json(detail) if row is None or row.lists else texts[row, values],
             _encode_str(digest_prev) if type(digest_prev) is str else canonical_json(digest_prev),
             _encode_str(event) if type(event) is str else canonical_json(event),
             sequence if type(sequence) is int else canonical_json(sequence),
         )
         if digest_prev != prev or recomputed != e["digest_self"] or sequence != position:
-            return False, position
+            return ChainVerdict(False, position, off_schema)
+        if row is None and off_schema is None:
+            off_schema = position
         prev = e["digest_self"]
-    return True, None
+    return ChainVerdict(True, None, off_schema)
 
 
 @dataclass(frozen=True)
@@ -553,7 +556,7 @@ class ProtectedStore:
         protect = self._checked[self._flags.get(addr, 0) == 1]
         if protect:
             self._checks[addr] = self.codec.check_value(word.value, word.width)
-        self._log.append(AuditEvent.WRITE, text, _WRITE_DETAILS[bool(priority), protect])
+        self._log.append(AuditEvent.WRITE, text, bool(priority), protect)
 
     def store_read(self, addr: Address) -> ReadResult:
         """Fetch a word and, where the strategy calls for it, verify it.
@@ -574,7 +577,7 @@ class ProtectedStore:
             return ReadResult(word, Validity.UNCHECKED)
         if check == self.codec.check_value(word.value, word.width):
             return ReadResult(word, Validity.VALID)
-        self._log.append(AuditEvent.INTEGRITY_FAILURE, text, {"codec": self.codec.codec_id.value})
+        self._log.append(AuditEvent.INTEGRITY_FAILURE, text, self.codec.codec_id.value)
         if self.read_policy is ReadPolicy.SUPPRESS_ON_INVALID:
             return ReadResult(None, Validity.INVALID)
         return ReadResult(word, Validity.INVALID)
@@ -619,7 +622,7 @@ class ProtectedStore:
                 sharers[survivor] |= moved
                 del pages[dupe]
                 merged += 1
-                self._log.append(AuditEvent.MERGE, None, _MergeDetail(dupe, survivor, sorted(moved)))
+                self._log.append(AuditEvent.MERGE, None, dupe, survivor, sorted(moved))
         return MergeReport(merged)
 
     def verify_audit_chain(self) -> tuple[bool, Optional[int]]:
@@ -674,7 +677,7 @@ class ProtectedStore:
             raise MissingAddressError(str(addr))
         bit = as_position(bit, self.word_width)
         self._pages[self._mapping[addr.page]][addr.offset] ^= 1 << bit
-        self._log.append(AuditEvent.INJECTED_FAULT, text, {"bit": bit, "zone": "data"})
+        self._log.append(AuditEvent.INJECTED_FAULT, text, bit, "data")
 
     def corrupt_physical_bit(self, ppage: int, offset: int, bit: int) -> None:
         """Flip one bit by physical coordinates; all mappings observe it."""
@@ -684,11 +687,7 @@ class ProtectedStore:
         offset = as_position(offset, self.words_per_page, "offset")
         bit = as_position(bit, self.word_width)
         self._pages[ppage][offset] ^= 1 << bit
-        self._log.append(
-            AuditEvent.INJECTED_FAULT,
-            None,
-            {"physical_page": ppage, "offset": offset, "bit": bit, "zone": "data"},
-        )
+        self._log.append(AuditEvent.INJECTED_FAULT, None, bit, offset, ppage, "data")
 
     def corrupt_check_bit(self, addr: Address, bit: int) -> None:
         """Flip one stored check bit; only with check-zone faults enabled."""
@@ -700,8 +699,7 @@ class ProtectedStore:
             raise MissingAddressError(f"no check stored for {addr}")
         bit = as_position(bit, self.codec.check_bits(self.word_width))
         self._checks[addr] = check ^ 1 << bit
-        detail = {"bit": bit, "zone": "check"}
-        self._log.append(AuditEvent.INJECTED_FAULT, self._written[addr], detail)
+        self._log.append(AuditEvent.INJECTED_FAULT, self._written[addr], bit, "check")
 
     # -- state dump ----------------------------------------------------------
 
@@ -842,11 +840,7 @@ class ProtectedStore:
             pid = self._allocate_page(addr.page, array("Q", [0]) * self.words_per_page)
         elif len(self._sharers[pid]) > 1:
             private = self._allocate_page(addr.page, self._pages[pid][:])
-            self._log.append(
-                AuditEvent.COW_BREAK,
-                None,
-                {"virtual_page": addr.page, "from": pid, "to": private},
-            )
+            self._log.append(AuditEvent.COW_BREAK, None, pid, private, addr.page)
             pid = private
         return self._pages[pid]
 

@@ -1,4 +1,4 @@
-"""The audit log's two encodings, its columns and its read views.
+"""The audit log's detail schema, its encodings, its columns and its read views.
 
 Chain digests and state-dump files must stay byte for byte what json.dumps
 gives, so each encoder is checked against json.dumps itself, and the dump
@@ -26,7 +26,7 @@ from msms import (
     run_simulation,
     verify_entry_dicts,
 )
-from msms.store import _WRITE_DETAILS, GENESIS, AuditLog, _MergeDetail, canonical_json
+from msms.store import _DETAILS, GENESIS, AuditLog, canonical_json
 
 
 def reference_verify(entries):
@@ -78,6 +78,14 @@ class Position(IntEnum):
     SECOND = 1
     THIRD = 2
     FOURTH = 3
+    FIFTH = 4
+    SIXTH = 5
+    SEVENTH = 6
+    EIGHTH = 7
+    NINTH = 8
+    TENTH = 9
+    ELEVENTH = 10
+    TWELFTH = 11
 
     def __str__(self):
         return self.name
@@ -158,7 +166,7 @@ def test_canonical_json_of_non_str_keys_equals_json_dumps(value):
 
 
 def test_canonical_json_raises_as_json_dumps_does():
-    for value in ({"a": object()}, {"a": 1, 2: "b"}, {None: 1, "b": 2}, [set()]):
+    for value in ({"a": object()}, {"a": 1, 2: "b"}, {None: 1, "b": 2}, [set()], {(1, 2): "a"}):
         with pytest.raises(Exception) as expected:
             json.dumps(value, sort_keys=True, separators=(",", ":"))
         with pytest.raises(expected.type):
@@ -268,6 +276,19 @@ def test_dump_text_equals_json_dumps_of_the_dump(codec, strategy, width, words_p
     assert store.dump_text() == json.dumps(store.dump_state(), indent=2) + "\n"
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    codec=st.sampled_from(codec_names()),
+    strategy=st.sampled_from(list(Strategy)),
+    seed=st.integers(0, 2**32 - 1),
+    n_ops=st.integers(0, 80),
+)
+def test_every_detail_the_store_logs_is_a_row_of_its_event(codec, strategy, seed, n_ops):
+    store = _store_walk(codec, strategy, 8, 2, seed, n_ops)
+    verdict = store.verify_audit_chain()
+    assert verdict == (True, None) and verdict.off_schema is None
+
+
 def _numeric_order(keys):
     return sorted(keys, key=lambda key: tuple(map(int, key.split(":"))))
 
@@ -294,13 +315,25 @@ def test_dump_zones_list_addresses_in_numeric_order(strategy, codec):
 # -- the dump verifier -----------------------------------------------------------
 
 
-def _chain(n_pages=2):
-    store = ProtectedStore(words_per_page=1)
-    for page in range(n_pages):
+def _chain():
+    """A dumped log holding every row of the detail table."""
+    store = ProtectedStore(words_per_page=1, allow_check_zone_faults=True)
+    for page in range(2):
         store.store_write(Address(page, 0), Word(3, 8), priority=page == 0)
     store.dedup_scan()
     store.store_read(Address(0, 0))
+    store.set_priority(Address(1, 0))
+    store.store_write(Address(1, 0), Word(3, 8))  # a copy-on-write break
+    store.corrupt_data_bit(Address(0, 0), 1)
+    store.corrupt_check_bit(Address(1, 0), 0)
+    store.corrupt_physical_bit(store.physical_page_of(1), 0, 2)
+    store.store_read(Address(0, 0))  # an integrity failure
     return store.dump_state()["zones"]["log"]
+
+
+def test_the_verifier_chain_holds_every_row_of_the_detail_table():
+    shapes = {(e["event"], tuple(e["detail"])) for e in _chain()}
+    assert shapes == {(row.event.value, row.names) for row in _DETAILS.values()}
 
 
 def _resign(entries, start):
@@ -344,6 +377,15 @@ TAMPERINGS = {
     "none-write-detail": lambda e: e.update(detail={"priority": None, "protected": True}),
     "dict-subclass-detail": lambda e: e.update(detail=AlwaysTrue(e["detail"])),
     "key-for-empty-detail": lambda e: e.update(detail=e["detail"] or {"": 0}),
+    # Negative controls for the detail table's exact types: a bool is an int,
+    # an IntEnum prints its name, and a str subclass is a str.
+    "true-in-virtual-pages": lambda e: e["detail"].get("virtual_pages", []).append(True),
+    "intenum-int-field": lambda e: e.update(
+        detail={k: Position(v) if type(v) is int and v < len(Position) else v for k, v in e["detail"].items()}
+    ),
+    "str-subclass-field": lambda e: e.update(
+        detail={k: Text(v) if type(v) is str else v for k, v in e["detail"].items()}
+    ),
 }
 
 
@@ -423,12 +465,43 @@ def test_a_dedup_heavy_store_dumps_and_reads_its_merges_as_json_would():
     assert verify_entry_dicts(store.audit_entries()) == reference_verify(store.audit_entries())
 
 
-@pytest.mark.parametrize("pages", [[], [3], [1, 4, 9]])
-def test_merge_detail_templates_are_json_of_the_fields(pages):
-    merge = _MergeDetail(2, 0, pages)
-    fields = {"freed": 2, "survivor": 0, "virtual_pages": pages}
-    assert merge.canonical() == canonical_json(fields)
-    assert merge.indented() == json.dumps(fields, indent=2).replace("\n", "\n        ")
+# -- the detail table --------------------------------------------------------------
+
+plain_ints = st.integers(-(2**70), 2**70)
+FIELD_VALUES = {
+    bool: st.booleans(),
+    int: plain_ints,
+    str: texts,
+    list: st.lists(plain_ints, max_size=4) | st.lists(plain_ints, min_size=100, max_size=300),
+}
+ROW_VALUES = st.sampled_from(list(_DETAILS.values())).flatmap(
+    lambda row: st.tuples(st.just(row), st.tuples(*(FIELD_VALUES[kind] for kind in row.types)))
+)
+
+
+def test_every_event_has_a_row_and_every_row_its_names_in_order():
+    assert {event for event, _ in _DETAILS} == set(AuditEvent)
+    for (event, arity), row in _DETAILS.items():
+        assert (row.event, len(row.names), len(row.types)) == (event, arity, arity)
+        assert list(row.names) == sorted(row.names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROW_VALUES)
+@example((_DETAILS[AuditEvent.MERGE, 3], (0, 0, [])))
+@example((_DETAILS[AuditEvent.MERGE, 3], (5, 2, list(range(400)))))
+@example((_DETAILS[AuditEvent.READ, 0], ()))
+@example((_DETAILS[AuditEvent.INTEGRITY_FAILURE, 1], ("\x00é\"\n",)))
+def test_each_row_writes_its_three_forms_as_json_does(row_values):
+    row, values = row_values
+    detail = dict(zip(row.names, values))
+    kept = row.kept(values)
+    text = row.canonical(kept)
+    assert text == canonical_json(detail)
+    # A detail sits two entry levels deep in a dump's log, 8 spaces in.
+    assert row.indented(kept) == json.dumps(detail, indent=2).replace("\n", "\n        ")
+    written, parsed = row.to_dict(kept), json.loads(text)
+    assert written == parsed and list(written) == list(parsed)
 
 
 def test_merges_of_pages_numbered_by_another_int_type_are_logged_as_json_encodes_them():
@@ -459,43 +532,64 @@ def test_dumps_and_entries_hand_out_copies_of_the_log():
 
 def test_append_keeps_its_own_copy_of_the_detail():
     log = AuditLog()
-    detail = {"survivor": 0, "freed": 1, "virtual_pages": [1]}
-    log.append(AuditEvent.MERGE, None, detail)
-    detail["virtual_pages"].append(2)
-    detail["freed"] = 7
+    pages = [1]
+    log.append(AuditEvent.MERGE, None, 1, 0, pages)
+    pages.append(2)
     assert verify_entry_dicts(log.to_dicts()) == (True, None)
     assert log.to_dicts()[0]["detail"] == {"freed": 1, "survivor": 0, "virtual_pages": [1]}
 
 
 def test_entries_with_one_list_holding_detail_share_no_list():
     log = AuditLog()
+    pages = [1]
     for _ in range(2):
-        log.append(AuditEvent.MERGE, None, {"freed": 1, "survivor": 0, "virtual_pages": [1]})
+        log.append(AuditEvent.MERGE, None, 1, 0, pages)
     first, second = log.to_dicts()
     first["detail"]["virtual_pages"].append(2)
-    assert second["detail"]["virtual_pages"] == [1]
+    assert second["detail"]["virtual_pages"] == [1] == pages
 
 
-def test_entries_with_one_dict_holding_detail_share_no_dict():
+def test_entries_with_one_detail_share_no_dict():
     log = AuditLog()
     for _ in range(2):
-        log.append(AuditEvent.INJECTED_FAULT, None, {"where": {"page": 0}, "zone": "data"})
+        log.append(AuditEvent.INJECTED_FAULT, None, 0, "data")
     first, second = log.to_dicts()
-    first["detail"]["where"]["page"] = 1
-    assert second["detail"]["where"] == {"page": 0}
+    first["detail"]["bit"] = 1
+    assert second["detail"] == {"bit": 0, "zone": "data"}
 
 
 @pytest.mark.parametrize(
-    "detail",
-    [[("freed", 1)], 0, "", [], False, (), '{"priority":false,"protected":false}'],
-    ids=["list-of-pairs", "zero", "empty-str", "empty-list", "false", "empty-tuple", "canonical-str"],
+    "event, values",
+    [
+        (AuditEvent.MERGE, ({"freed": 1, "survivor": 0, "virtual_pages": [1]},)),
+        (AuditEvent.MERGE, (1, 0)),
+        (AuditEvent.MERGE, (1, 0, [1], 2)),
+        (AuditEvent.MERGE, (1, 0, (1,))),
+        (AuditEvent.MERGE, (1, 0, [True])),
+        (AuditEvent.MERGE, (1, 0, [1.0])),
+        (AuditEvent.MERGE, (True, 0, [1])),
+        (AuditEvent.MERGE, (Small.ONE, 0, [1])),
+        (AuditEvent.WRITE, (1, 0)),
+        (AuditEvent.WRITE, ()),
+        (AuditEvent.WRITE, ('{"priority":false,"protected":false}',)),
+        (AuditEvent.READ, (None,)),
+        (AuditEvent.INTEGRITY_FAILURE, (Text("parity"),)),
+        (AuditEvent.INJECTED_FAULT, (1, "data", 0)),
+        (AuditEvent.INJECTED_FAULT, (1, 0, 0, None)),
+    ],
+    ids=[
+        "merge-dict", "merge-short", "merge-long", "merge-tuple", "merge-bool-page",
+        "merge-float-page", "merge-bool-freed", "merge-intenum-freed", "write-ints",
+        "write-none", "write-canonical-str", "read-none", "failure-str-subclass",
+        "fault-three", "fault-none-zone",
+    ],
 )
-def test_append_rejects_a_detail_that_is_not_a_dict(detail):
-    # Only None stands for "no detail"; a falsy non-dict is not logged as {},
-    # and a public str is not taken for a detail's canonical JSON.
+def test_append_rejects_values_off_the_events_schema(event, values):
+    # A detail's values must be a row of its event: as many as its fields,
+    # each exactly its field's type, a list holding only plain ints.
     log = AuditLog()
-    with pytest.raises(TypeError, match="audit detail must be a dict"):
-        log.append(AuditEvent.MERGE, None, detail)
+    with pytest.raises(TypeError, match=f"a {event} detail"):
+        log.append(event, None, *values)
     assert len(log) == 0
 
 
@@ -507,18 +601,12 @@ def test_append_rejects_a_detail_that_is_not_a_dict(detail):
 def test_append_rejects_an_event_that_is_not_an_audit_event(event):
     # A plain str equals its AuditEvent member, so only the type tells them apart.
     log = AuditLog()
-    log.append(AuditEvent.WRITE)
+    log.append(AuditEvent.WRITE, None, False, False)
     with pytest.raises(TypeError, match="audit event must be an AuditEvent"):
-        log.append(event, Address(0, 0), {"bit": 1})
+        log.append(event, Address(0, 0), 1, "data")
     assert len(log) == 1
     assert [e["event"] for e in log.to_dicts()] == ["write"]
     assert verify_entry_dicts(log.to_dicts()) == (True, None)
-
-
-def test_pre_encoded_write_details_are_their_canonical_json():
-    assert sorted(_WRITE_DETAILS) == [(False, False), (False, True), (True, False), (True, True)]
-    for (priority, protected), text in _WRITE_DETAILS.items():
-        assert text == canonical_json({"priority": priority, "protected": protected})
 
 
 def test_every_entry_goes_through_append(monkeypatch):
@@ -551,7 +639,7 @@ def test_every_entry_goes_through_append(monkeypatch):
 
 def test_live_verify_recomputes_every_digest():
     store, k = _merged_store()
-    store._log._details[k] = '{"freed":2,"survivor":0,"virtual_pages":[1]}'
+    store._log._details[k] = (2, 0, (1,))
     assert store.verify_audit_chain() == (False, k)
 
 
@@ -573,10 +661,10 @@ def test_taking_the_tail_builds_only_the_tail():
     assert store.audit_entries(-41) == store.audit_entries(0) == everything
     assert store.audit_entries(40) == store.audit_entries(99) == []
 
-    # Only the tail's details are parsed: an unparsable earlier one is never read.
-    store._log._details[3] = "{not json"
+    # Only the tail's details are written: an unwritable earlier one is never read.
+    store._log._details[3] = None
     assert store.audit_entries(-5) == everything[-5:]
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(TypeError):
         store.audit_entries()
 
 
@@ -599,15 +687,8 @@ class _EagerLog:
     def __init__(self):
         self.entries = []
 
-    def append(self, event, address=None, detail=None):
-        if detail is None:
-            detail = {}
-        elif type(detail) is _MergeDetail:
-            detail = detail.to_dict()
-        elif isinstance(detail, str):
-            detail = json.loads(detail)
-        else:
-            detail = json.loads(json.dumps(detail))
+    def append(self, event, address=None, *values):
+        detail = json.loads(json.dumps(dict(zip(_DETAILS[event, len(values)].names, values))))
         sequence = len(self.entries)
         prev = self.entries[-1]["digest_self"] if self.entries else GENESIS
         addr = None if address is None else str(address)
@@ -685,21 +766,23 @@ def test_digests_taken_on_reading_equal_digests_taken_at_each_append(seed, reads
 
 def test_changing_a_detail_after_append_changes_no_digest():
     log = AuditLog()
-    detail = {"bit": 1, "zone": "data", "pages": [1, 2]}
-    log.append(AuditEvent.INJECTED_FAULT, Address(0, 1), detail)
+    pages = [1, 2]
+    log.append(AuditEvent.MERGE, Address(0, 1), 1, 0, pages)
     log.append(AuditEvent.READ, "0:1")
-    log.append(AuditEvent.MERGE, None, _MergeDetail(1, 0, [1]))
-    fault = {"bit": 1, "zone": "data", "pages": [1, 2]}
-    merge = {"freed": 1, "survivor": 0, "virtual_pages": [1]}
-    first = reference_digest(0, "injected_fault", "0:1", fault, GENESIS)
+    log.append(AuditEvent.MERGE, None, 1, 0, pages)
+    merge = {"freed": 1, "survivor": 0, "virtual_pages": [1, 2]}
+    first = reference_digest(0, "merge", "0:1", merge, GENESIS)
     second = reference_digest(1, "read", "0:1", {}, first)
     third = reference_digest(2, "merge", None, merge, second)
 
-    detail["bit"] = 7
-    detail["pages"].append(3)
-    log._details[1] = '{"x":1}'
-    log._details[2].virtual_pages.append(5)
+    # The log keeps no reference to the caller's list, before its digests
+    # are taken or after, and a read hands out copies.
+    pages.append(3)
     assert [e["digest_self"] for e in log.to_dicts()] == [first, second, third]
+    pages.append(4)
+    log.to_dicts()[0]["detail"]["virtual_pages"].append(5)
+    assert [e["detail"] for e in log.to_dicts()[::2]] == [merge, merge]
+    assert verify_entry_dicts(log.to_dicts()) == (True, None)
 
 
 def test_the_length_counts_entries_before_their_digests_are_taken():

@@ -5,13 +5,14 @@ import json
 
 import pytest
 
-from msms import CSV_HEADER, SimulationConfig, run_simulation, simulation
+from msms import CSV_HEADER, SimulationConfig, run_simulation, simulation, verify_entry_dicts
 from msms.cli import (
     EXIT_ATTACK_SUCCEEDED,
     EXIT_ERROR,
     EXIT_OK,
     main,
 )
+from test_audit_log import _resign
 
 SIM_SMALL = ["simulate", "--n", "1500", "--error-prob", "0.004", "--seed", "42"]
 
@@ -479,6 +480,23 @@ class TestAudit:
         assert code == EXIT_ERROR
         assert "JSON" in err
 
+    def test_a_renamed_merge_key_resigned_verifies_but_is_off_schema(self, state_file, capsys):
+        # The negative control of the schema check: the chain alone vouches for this log.
+        data = json.loads(state_file.read_text())
+        log = data["zones"]["log"]
+        k = next(i for i, e in enumerate(log) if e["event"] == "merge")
+        detail = log[k]["detail"]
+        detail["virtual_page"] = detail.pop("virtual_pages")
+        _resign(log, k)
+        assert verify_entry_dicts(log) == (True, None)
+        state_file.write_text(json.dumps(data))
+        code, out, _ = run(["audit", str(state_file)], capsys)
+        assert code == EXIT_ERROR
+        assert out == (
+            f"chain OK ({len(log)} entries)\n"
+            f'detail OFF SCHEMA at sequence {k}: event "merge", keys ["freed", "survivor", "virtual_page"]\n'
+        )
+
     def test_bare_entry_list_is_accepted(self, state_file, capsys):
         entries = json.loads(state_file.read_text())["zones"]["log"]
         bare = state_file.parent / "bare.json"
@@ -528,6 +546,18 @@ class TestDumpFiles:
         events = {e["event"] for e in json.loads((out_dir / "state.json").read_text())["zones"]["log"]}
         assert {"merge", "injected_fault", "integrity_failure"} <= events
         assert _sha256_file(out_dir / "state.json") == GOLDEN_DUMP_FILES["state.json"]
+
+    def test_every_pinned_dump_passes_its_audit(self, tmp_path, capsys):
+        # The positive control of the schema check, on the runs the pins above make.
+        run(["simulate", "--compare", "--n", "3000", "--seed", "2", "--error-prob", "0.002",
+             "--inject-check-zone", "--engine", "store", "--dump-state", "--out", str(tmp_path)], capsys)
+        run(["attack", "--codec", "dup", "--priority-victim", "--force-merge", "--seed", "9",
+             "--out", str(tmp_path)], capsys)
+        for name in GOLDEN_DUMP_FILES:
+            entries = len(json.loads((tmp_path / name).read_text())["zones"]["log"])
+            assert run(["audit", str(tmp_path / name)], capsys) == (
+                EXIT_OK, f"chain OK ({entries} entries)\n", ""
+            ), name
 
 
 # sha256 of `msms attack` stdout, which carries the outcome's audit tail.

@@ -268,6 +268,11 @@ class TestPriorityFlag:
         with pytest.raises(MonotonicityError):
             store._raw_set_flag(Address(0, 0), 0)
 
+    def test_the_flag_zone_refuses_only_one_to_zero(self):
+        store = make_store()
+        store._raw_set_flag(Address(1, 0), 0)
+        assert store.flag(Address(1, 0)) == 0
+
     def test_set_priority_requires_a_written_word(self):
         store = make_store()
         with pytest.raises(MissingAddressError):
