@@ -22,13 +22,15 @@ exactly when an attack applied a flip that went undetected.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from . import simulation
 from ._version import __version__
@@ -418,8 +420,28 @@ def cmd_attack(args: argparse.Namespace) -> int:
 # -- audit --------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; every exit restores the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
-    path = Path(args.state)
+    # Everything an audit builds is acyclic JSON data that refcounting frees,
+    # and every entry dict json.loads makes lives until the audit returns, so
+    # the collector's passes over them would find nothing to free.  _audit
+    # returns inside the pause, so its data is freed before the collector resumes.
+    with _collector_paused():
+        return _audit(Path(args.state))
+
+
+def _audit(path: Path) -> int:
     if not path.exists():
         raise CliError(f"state dump not found: {path}")
     try:

@@ -70,7 +70,7 @@ from ._version import __version__ as _version
 from .codecs import CostDescriptor, get_codec
 from .faults import DEFAULT_ERROR_PROBABILITY, DEFAULT_N_OPS
 from .store import CHECKED_BY_PRIORITY, Address, ProtectedStore, ReadPolicy, Strategy, Validity
-from .words import RandomSource, Word, as_seed, as_width, flip_bit
+from .words import RandomSource, Word, as_seed, as_width, flip_bit, word_maker
 
 CSV_HEADER = "op_id,priority,strategy,error_injected,error_bit,detected,steps"
 # "0000" to "9999", the last four digits of an op_id, built with numpy
@@ -604,10 +604,10 @@ def _detect_store(
     flips = dict(zip(plan.injected.tolist(), bits.tolist()))
     detected = []
     words = plan.words_at(np.arange(n)).tolist()
+    word_of = word_maker(w)
     for i in range(n):
         addr = Address(i // wpp, i % wpp)
-        word = Word(words[i], w)
-        store.store_write(addr, word, priority=priority[i])
+        store.store_write(addr, word_of(words[i]), priority=priority[i])
         bit = flips.get(i)
         if bit is not None:
             if bit < w:

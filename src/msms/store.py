@@ -64,7 +64,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ._version import __version__ as _version
 from .codecs import CodecCheck, CodecId, get_codec
-from .words import Word, as_position, as_width, bit_string
+from .words import Word, as_position, as_width, bit_string, word_maker
 
 DEFAULT_WORDS_PER_PAGE = 512
 
@@ -285,8 +285,12 @@ _DETAILS = {
     ]
 }
 # The rows by a dumped detail's event text, keys and value types, in that order.  A
-# detail is a row of its event if it is a plain dict found here whose lists hold plain ints.
+# detail is a row of its event if it is a plain dict whose keys are the row's names, in
+# any order, whose values by those names are of the row's types, and whose lists hold
+# plain ints.  A dump writes a detail's keys in row order, which one lookup here finds;
+# a detail with keys in another order is found by its event text and key set.
 _DUMPED_DETAILS = {(row.event_name, *row.names, *row.types): row for row in _DETAILS.values()}
+_DETAILS_BY_KEY_SET = {(row.event_name, frozenset(row.names)): row for row in _DETAILS.values()}
 
 
 class _Texts(dict):
@@ -459,6 +463,12 @@ def verify_entry_dicts(entries: Iterable[dict[str, Any]]) -> ChainVerdict:
         if type(event) is str and type(detail) is dict:
             values = tuple(detail.values())
             row = _DUMPED_DETAILS.get((event, *detail, *map(type, values)) if values else (event,))
+            if row is None and values:
+                row = _DETAILS_BY_KEY_SET.get((event, frozenset(detail)))
+                if row is not None:
+                    values = tuple(map(detail.__getitem__, row.names))
+                    if tuple(map(type, values)) != row.types:
+                        row = None
             for i in row.lists if row else ():
                 if not set(map(type, values[i])) <= {int}:
                     row = None
@@ -517,6 +527,7 @@ class ProtectedStore:
         self._checked = CHECKED_BY_PRIORITY[self.strategy]
         self.read_policy = ReadPolicy(read_policy)
         self.word_width = word_width
+        self._word = word_maker(word_width)  # a read's Word of the value it reads
         self.words_per_page = words_per_page
         self.allow_check_zone_faults = allow_check_zone_faults
         # zones; reachable only through store operations
@@ -847,4 +858,4 @@ class ProtectedStore:
     def _resolve_word(self, addr: Address) -> Word:
         if addr not in self._written:
             raise MissingAddressError(str(addr))
-        return Word(self._pages[self._mapping[addr.page]][addr.offset], self.word_width)
+        return self._word(self._pages[self._mapping[addr.page]][addr.offset])

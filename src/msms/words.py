@@ -4,7 +4,8 @@ Everything else in the package is built on these pieces: an immutable
 ``Word`` value type, a single-bit flip primitive, a ``RandomSource``
 whose draws are bit-exact reproducible per seed, and the word rules: one
 function each decides a width, a seed, a bit position and a bit string,
-taking an integer as a plain int (another integer type by its value).
+taking an integer as a plain int (another integer type by its value),
+and :func:`word_maker` decides when a width's words are shared.
 
 Bit positions are 0-based from the least-significant bit.  String
 rendering is most-significant bit first (``"10110"``), so position 0 is
@@ -13,8 +14,10 @@ the rightmost character.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,14 +65,17 @@ class Word:
     value: int
     width: int = 8
 
-    def __post_init__(self) -> None:
+    # Written out, not generated with a __post_init__, so that building a Word
+    # is one Python call: a wide store builds two per op.
+    def __init__(self, value: int, width: int = 8) -> None:
         # A plain int value with a plain int width in range skips the rules; anything
         # else goes through them, so another integer type is taken by its value.
-        if type(self.value) is not int or type(self.width) is not int or self.width not in _WIDTHS:
-            object.__setattr__(self, "value", operator.index(self.value))
-            object.__setattr__(self, "width", as_width(self.width))
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
+        if type(value) is not int or type(width) is not int or width not in _WIDTHS:
+            value, width = operator.index(value), as_width(width)
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value {value} out of range for width {width}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "width", width)
 
     @classmethod
     def from_string(cls, bits: str) -> "Word":
@@ -93,6 +99,30 @@ class Word:
 
     def __str__(self) -> str:
         return bit_string(self.value, self.width)
+
+
+# A width with at most this many values (width <= 8) shares one Word per value.
+_SHARED_VALUES = 256
+
+
+def word_maker(width: int) -> Callable[[int], Word]:
+    """The function that gives a value held at ``width`` its :class:`Word`.
+
+    A width with at most 256 values hands out one shared ``Word`` per
+    value, which its immutability makes safe; a wider width builds a fresh
+    ``Word`` on every call.  The value is one a store or a plan already
+    holds: a plain int in range.  A shared width raises ``KeyError`` for a
+    value outside its range.
+    """
+    width = as_width(width)
+    if 1 << width <= _SHARED_VALUES:
+        return _shared_words(width).__getitem__
+    return lambda value: Word(value, width)
+
+
+@functools.cache
+def _shared_words(width: int) -> dict[int, Word]:
+    return {value: Word(value, width) for value in range(1 << width)}
 
 
 def flip_bit(word: Word, pos: int) -> Word:

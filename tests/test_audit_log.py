@@ -386,6 +386,9 @@ TAMPERINGS = {
     "str-subclass-field": lambda e: e.update(
         detail={k: Text(v) if type(v) is str else v for k, v in e["detail"].items()}
     ),
+    # The same JSON object with its keys in another order, and one whose values are off type.
+    "reversed-keys": lambda e: e.update(detail=dict(reversed(e["detail"].items()))),
+    "reversed-int-write-detail": lambda e: e.update(detail={"protected": 0, "priority": 1}),
 }
 
 
@@ -421,6 +424,28 @@ def test_dump_verifier_agrees_with_the_reference_on_any_field_value(position, fi
         except (KeyError, TypeError, ValueError):
             pass
     assert outcome(verify_entry_dicts, entries) == outcome(reference_verify, entries)
+
+
+def _reversed(detail):
+    return dict(reversed(detail.items()))
+
+
+def _off_type(detail):
+    """The detail reversed, with its first value by name as a str."""
+    first = next(iter(detail))
+    return {**_reversed(detail), first: str(detail[first])}
+
+
+@pytest.mark.parametrize("reorder, on_schema", [(_reversed, True), (_off_type, False)])
+def test_a_detail_is_a_row_of_its_event_in_any_key_order(reorder, on_schema):
+    base = _chain()
+    for position in (i for i, e in enumerate(base) if len(e["detail"]) > 1):
+        entries = json.loads(json.dumps(base))
+        entries[position]["detail"] = reorder(entries[position]["detail"])
+        _resign(entries, position)
+        verdict = verify_entry_dicts(entries)
+        assert verdict == reference_verify(entries) == (True, None)
+        assert verdict.off_schema == (None if on_schema else position)
 
 
 # -- the log's columns and views -----------------------------------------------------

@@ -1,18 +1,20 @@
 """Command-line behavior: flags, config files, artifacts, exit codes."""
 
+import gc
 import hashlib
 import json
 
 import pytest
 
 from msms import CSV_HEADER, SimulationConfig, run_simulation, simulation, verify_entry_dicts
+from msms import cli
 from msms.cli import (
     EXIT_ATTACK_SUCCEEDED,
     EXIT_ERROR,
     EXIT_OK,
     main,
 )
-from test_audit_log import _resign
+from test_audit_log import _resign, reference_verify
 
 SIM_SMALL = ["simulate", "--n", "1500", "--error-prob", "0.004", "--seed", "42"]
 
@@ -497,6 +499,20 @@ class TestAudit:
             f'detail OFF SCHEMA at sequence {k}: event "merge", keys ["freed", "survivor", "virtual_page"]\n'
         )
 
+    def test_a_dump_with_reversed_detail_keys_is_on_schema(self, state_file, capsys):
+        # The same JSON objects with the same digests: no re-signing needed.
+        data = json.loads(state_file.read_text())
+        log = data["zones"]["log"]
+        for entry in log:
+            entry["detail"] = dict(reversed(entry["detail"].items()))
+        assert any(list(e["detail"]) == ["protected", "priority"] for e in log)
+        verdict = verify_entry_dicts(log)
+        assert verdict == reference_verify(log) == (True, None) and verdict.off_schema is None
+        state_file.write_text(json.dumps(data))
+        code, out, _ = run(["audit", str(state_file)], capsys)
+        assert code == EXIT_OK
+        assert out == f"chain OK ({len(log)} entries)\n"
+
     def test_bare_entry_list_is_accepted(self, state_file, capsys):
         entries = json.loads(state_file.read_text())["zones"]["log"]
         bare = state_file.parent / "bare.json"
@@ -504,6 +520,81 @@ class TestAudit:
         code, out, _ = run(["audit", str(bare)], capsys)
         assert code == EXIT_OK
         assert "chain OK" in out
+
+
+def _rewrite_log(edit):
+    def rewrite(path):
+        data = json.loads(path.read_text())
+        edit(data["zones"]["log"])
+        path.write_text(json.dumps(data))
+    return rewrite
+
+
+def _rename_merge_key(log):
+    k = next(i for i, e in enumerate(log) if e["event"] == "merge")
+    log[k]["detail"]["virtual_page"] = log[k]["detail"].pop("virtual_pages")
+    _resign(log, k)
+
+
+# Each way out of ``msms audit``: an edit of the attack dump, the exit code and a
+# text that stdout or stderr holds.
+AUDIT_EXITS = {
+    "chain-ok": (lambda path: None, EXIT_OK, "chain OK"),
+    "chain-broken": (_rewrite_log(lambda log: log[3].update(sequence=4)), EXIT_ERROR, "BROKEN"),
+    "off-schema": (_rewrite_log(_rename_merge_key), EXIT_ERROR, "OFF SCHEMA"),
+    "invalid-json": (lambda path: path.write_text("{not json"), EXIT_ERROR, "not valid JSON"),
+    "not-a-dump": (lambda path: path.write_text("{}"), EXIT_ERROR, "not a recognizable state dump"),
+    "malformed-entries": (_rewrite_log(lambda log: log[0].pop("digest_self")), EXIT_ERROR,
+                          "malformed log entries"),
+    "missing": (lambda path: path.unlink(), EXIT_ERROR, "not found"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("exit_path", sorted(AUDIT_EXITS))
+def test_audit_pauses_the_collector_and_restores_the_callers_setting(
+    exit_path, enabled, tmp_path, capsys, monkeypatch
+):
+    edit, status, text = AUDIT_EXITS[exit_path]
+    run(["attack", "--seed", "1", "--out", str(tmp_path)], capsys)
+    path = tmp_path / "state.json"
+    edit(path)
+    verify, during = cli.verify_entry_dicts, []
+    monkeypatch.setattr(
+        cli, "verify_entry_dicts", lambda entries: during.append(gc.isenabled()) or verify(entries)
+    )
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        code, out, err = run(["audit", str(path)], capsys)
+        after = gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+    assert (code, text in out + err, after) == (status, True, enabled)
+    assert not any(during)
+
+
+def test_an_audit_of_a_20000_op_dump_runs_no_collection(tmp_path, capsys):
+    argv = ["simulate", "--n", "20000", "--seed", "21", "--error-prob", "0.002",
+            "--inject-check-zone", "--dump-state", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == EXIT_OK
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()  # what the dump run left behind is collected before the audit starts
+    gc.callbacks.append(record)
+    try:
+        code, out, _ = run(["audit", str(tmp_path / "state_enhanced.json")], capsys)
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable() if was else gc.disable()
+    assert code == EXIT_OK and out.startswith("chain OK (")
+    assert collections == []
 
 
 # sha256 of the dump files themselves, byte for byte, pinned before the dump

@@ -20,9 +20,10 @@ from msms import (
 )
 
 # This test's 2,000-op run counted 66,995 Python calls while every check
-# was a CodecCheck and every append took its own digest, and 38,960 since
-# checks are ints and the digests are taken in one pass (Python 3.11).
-STORE_ENGINE_CALLS_PER_OP = 21.5
+# was a CodecCheck and every append took its own digest, 38,960 since
+# checks are ints and the digests are taken in one pass, and 30,956 since
+# 8-bit stores share one Word per value (Python 3.11).
+STORE_ENGINE_CALLS_PER_OP = 17.0
 
 # This test's drill counted 4,479 Python calls while MERGE details were their
 # own class and the verifier special-cased WRITE details, and 4,489 since one

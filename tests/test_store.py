@@ -632,6 +632,43 @@ class TestSixtyFourBitWords:
         assert words == (0, self.ONES, 0)
 
 
+class _TaggedWord(Word):
+    """A caller's own Word subclass, which a read never hands back."""
+
+
+@pytest.mark.parametrize("width", [1, 8, 64])
+def test_every_read_is_a_plain_word_of_the_physical_value_after_each_change(width):
+    # Widths up to 8 hand out shared Words; each read must still be of the word as it is now.
+    store = make_store(word_width=width, words_per_page=2)
+    top = (1 << width) - 1
+    a, b = Address(0, 0), Address(1, 0)
+
+    def reads_fresh(*addrs):
+        for addr in addrs:
+            value = store.physical_words(store.physical_page_of(addr.page))[addr.offset]
+            for word in (store.store_read(addr).word, store.store_read(addr).word):
+                assert type(word) is Word and word == Word(value, width)
+
+    for addr in (a, b):
+        store.store_write(addr, _TaggedWord(top, width))
+    reads_fresh(a, b)
+    store.corrupt_data_bit(a, 0)
+    reads_fresh(a, b)
+    store.store_write(a, Word(top, width))  # a rewrite of the same address
+    reads_fresh(a)
+    assert store.dedup_scan().pairs_merged == 1 and store.is_cow(b.page)
+    store.corrupt_physical_bit(store.physical_page_of(a.page), 0, width - 1)
+    assert store.store_read(b).word.value == top ^ 1 << width - 1
+    reads_fresh(a, b)
+    store.store_write(b, Word(top, width))  # a copy-on-write write
+    assert not store.is_cow(a.page)
+    assert store.store_read(b).word.value == top
+    reads_fresh(a, b)
+    store.set_priority(a)
+    assert store.store_read(a).validity is Validity.VALID
+    reads_fresh(a, b)
+
+
 # The Flip Feng Shui defence matrix as ``msms attack`` drives it:
 # (strategy, priority_victim, protect_page).
 DEFENCE_CASES = (

@@ -2,16 +2,36 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from msms import MAX_WIDTH, RandomSource, Word, flip_bit
-from msms.words import as_position, as_seed, as_width, bit_string
+from msms.words import as_position, as_seed, as_width, bit_string, word_maker
 
 
 def words(max_width: int = 16):
     return st.integers(1, max_width).flatmap(
         lambda w: st.builds(Word, st.integers(0, (1 << w) - 1), st.just(w))
     )
+
+
+@given(st.integers(1, MAX_WIDTH).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))))
+@example((8, 255))
+@example((9, 0))
+def test_word_maker_gives_a_values_word_and_shares_it_only_up_to_width_8(width_value):
+    width, value = width_value
+    make = word_maker(width)
+    word = make(value)
+    assert type(word) is Word and word == Word(value, width)
+    assert (make(value) is word) == (width <= 8)
+    assert word_maker(width)(value) == word
+
+
+@pytest.mark.parametrize("width, value, error", [
+    (1, 2, KeyError), (8, 256, KeyError), (8, -1, KeyError), (9, 512, ValueError), (64, -1, ValueError),
+])
+def test_word_maker_refuses_a_value_outside_the_width(width, value, error):
+    with pytest.raises(error):
+        word_maker(width)(value)
 
 
 class TestWord:
