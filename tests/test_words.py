@@ -55,6 +55,7 @@ class TestWord:
 
     def test_zero_constructor(self):
         assert Word.zero(4) == Word(0, 4)
+        assert Word.zero() == Word(0, 8) == Word(0)
 
     @pytest.mark.parametrize("value,width", [(-1, 8), (256, 8), (2, 1), (0, 0), (0, MAX_WIDTH + 1)])
     def test_rejects_out_of_range(self, value, width):
